@@ -5,24 +5,34 @@ pipeline — every operator yields Python tuples.  This module makes column
 batches (positionally schema-aligned :class:`~repro.storage.colstore.
 ColumnVector` lists) the unit of exchange instead: scans emit whole filtered
 chunks, filters and projections evaluate compiled numpy expressions over
-them, joins probe with vectorized key extraction, sorts run stable
-``np.lexsort`` passes, and the per-DN fragment path ships partial-aggregate
-states as object batches across exchanges.  Rows materialize only at the
-client boundary (or wherever a row-only operator sits above a batched one).
+them, hash joins build and probe with compiled key expressions, sorts run
+stable ``np.lexsort`` passes, and the per-DN fragment path ships
+partial-aggregate states as object batches across exchanges.  Rows
+materialize only at the client boundary (or wherever a row-only operator
+sits above a batched one).
 
 Two invariants keep batch execution *replay-identical* to the row path:
 
 * **Row counts** — ``PhysicalOp._count_batches`` adds ``batch.n`` per batch,
   so ``actual_rows`` (and with it every simulated profile time, which is a
-  pure function of row counts) matches the row path exactly.  Because a
-  ``LIMIT`` stops pulling mid-stream, batching is disabled in any subtree
-  under one — a batched descendant would count rows the row path never
-  produced.
+  pure function of row counts) matches the row path exactly.  A ``LIMIT``
+  stops pulling mid-stream, so the streaming chain directly under it stays
+  row-at-a-time down to the first blocking operator (sort, aggregation).
+  That operator stays row-mode too — it counts only the rows the LIMIT
+  pulls — but it drains its whole input on both paths, so everything below
+  it batches again (a row-mode sort over a batching child still sorts with
+  the batch kernel).
 * **Values** — kernels either reuse the row path's own math (partial
   aggregation states) or perform the same elementwise operation the row
   expression interpreter would (comparisons, arithmetic on the same
   operands), and the row bridge unboxes numpy scalars back to the Python
   values the row path yields.
+
+Memory charging is batch-grain but spill-exact: batch operators reserve
+through ``OperatorMemory.grow_rows``, which spills exactly where the row
+path's per-entry ``grow`` calls would, and release their reservation only
+when the consumer pulls past their last batch — the row path's release
+point.
 
 ``enable_batches`` is the activation pass: it walks a physical plan, marks
 operators whose subtree can batch, and pre-compiles their expressions.
@@ -69,10 +79,6 @@ class Batch:
                       for c in self.columns], int(mask.sum()))
 
 
-def _unbox(value):
-    return value.item() if hasattr(value, "item") else value
-
-
 def rows_from_batches(batches: Iterable[Batch]) -> Iterator[tuple]:
     """The batch->row bridge: the only place values unbox.
 
@@ -83,13 +89,7 @@ def rows_from_batches(batches: Iterable[Batch]) -> Iterator[tuple]:
     values per element as ``.item()``).
     """
     for batch in batches:
-        cols = []
-        for c in batch.columns:
-            values = c.data.tolist()
-            if not c.validity.all():
-                values = [v if ok else None
-                          for v, ok in zip(values, c.validity.tolist())]
-            cols.append(values)
+        cols = [_py_values(c) for c in batch.columns]
         if len(cols) == 1:
             for v in cols[0]:
                 yield (v,)
@@ -355,12 +355,75 @@ def _compile_binary(expr: BoundBinary) -> Optional[BatchFn]:
     return None
 
 
+# -- group coding ---------------------------------------------------------
+
+def _py_values(vec: ColumnVector) -> list:
+    """Lane values as the row path sees them: Python objects, NULL as None."""
+    values = vec.data.tolist()
+    if not vec.validity.all():
+        values = [v if ok else None
+                  for v, ok in zip(values, vec.validity.tolist())]
+    return values
+
+
+def group_codes(vecs: List[ColumnVector],
+                n: int) -> Tuple[List[tuple], np.ndarray]:
+    """Dense codes for the key tuples of ``n`` lanes, numbered first-seen.
+
+    Returns ``(keys, codes)``: lane ``i`` belongs to group ``codes[i]``,
+    whose key tuple (NULL lanes as ``None``) is ``keys[codes[i]]``.  Codes
+    count up in the order of each key's first lane, which is the order the
+    row path's dict creates groups in.  One typed column codes through
+    ``np.unique``; object columns (strings, row-sourced join sides) and
+    composite keys code through a dict over their Python values — the row
+    path's own equality and hashing, never a numpy ordering of Python
+    objects.
+    """
+    if len(vecs) == 1 and vecs[0].data.dtype != object:
+        return _unique_codes(vecs[0], n)
+    index: dict = {}
+    codes = [index.setdefault(key, len(index))
+             for key in zip(*[_py_values(v) for v in vecs])]
+    return list(index), np.asarray(codes, dtype=np.int64)
+
+
+def _unique_codes(vec: ColumnVector,
+                  n: int) -> Tuple[List[tuple], np.ndarray]:
+    validity = vec.validity
+    if validity.all():
+        uniq, codes = np.unique(vec.data, return_inverse=True)
+        keys = [(v,) for v in uniq.tolist()]
+    elif not validity.any():
+        return [(None,)], np.zeros(n, dtype=np.int64)
+    else:
+        valid_idx = np.flatnonzero(validity)
+        uniq, inverse = np.unique(vec.data[valid_idx], return_inverse=True)
+        keys = [(v,) for v in uniq.tolist()] + [(None,)]
+        codes = np.full(n, len(uniq), dtype=np.int64)
+        codes[valid_idx] = inverse
+    # renumber by first lane so codes count up in first-seen order
+    first = np.full(len(keys), n, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(n))
+    rank = np.argsort(first, kind="stable")
+    remap = np.empty(len(keys), dtype=np.int64)
+    remap[rank] = np.arange(len(keys))
+    return [keys[c] for c in rank.tolist()], remap[codes]
+
+
+def _members(codes: np.ndarray, n_groups: int) -> List[np.ndarray]:
+    """Lane indices of each code, in ascending lane order."""
+    order = np.argsort(codes, kind="stable")
+    bounds = np.searchsorted(codes[order], np.arange(n_groups + 1)).tolist()
+    return [order[bounds[c]:bounds[c + 1]] for c in range(n_groups)]
+
+
 # -- partial aggregation --------------------------------------------------
 
 _STAR = object()
 
 
-def partial_states_from_batches(agg) -> Optional[Iterator[tuple]]:
+def partial_states_from_batches(
+        agg, mem=None, entry_bytes: int = 0) -> Optional[Iterator[tuple]]:
     """Batch-native ``PPartialAgg``: group and accumulate over column lanes.
 
     Only used when the shared vector fast path (``vector_partial_states``)
@@ -373,25 +436,16 @@ def partial_states_from_batches(agg) -> Optional[Iterator[tuple]]:
       included), so state rows emit in exactly the row path's order;
     * counts skip NULL arguments, min/max compare the same values.
 
-    Returns ``None`` when the shape is out of scope (multi-column group
-    keys, uncompilable arguments, object-typed group sources) — the caller
-    falls back to the row-path ``_aggregate``.
+    New groups are charged to ``mem`` per batch.  Returns ``None`` when the
+    child does not batch or an expression or aggregate is out of scope
+    (DISTINCT, uncompilable arguments) — the caller falls back to the
+    row-path loop.
     """
-    child = agg.child
-    if not child.batch_mode:
+    if not agg.child.batch_mode:
         return None
-    from repro.exec import operators as ops
-    if not isinstance(child, (ops.PScan, ops.PFilter)):
-        # joins and state-shipping children can carry object-dtype columns
-        # whose lanes np.unique cannot order; stay on the row path there
+    group_fns = [compile_expr(g) for g in agg.group_exprs]
+    if any(fn is None for fn in group_fns):
         return None
-    if len(agg.group_exprs) > 1:
-        return None
-    group_fn = None
-    if agg.group_exprs:
-        group_fn = compile_expr(agg.group_exprs[0])
-        if group_fn is None:
-            return None
     arg_fns: List[object] = []
     for spec in agg.aggs:
         if spec.distinct or spec.func not in ("count", "sum", "avg",
@@ -404,104 +458,65 @@ def partial_states_from_batches(agg) -> Optional[Iterator[tuple]]:
         if fn is None:
             return None
         arg_fns.append(fn)
-    return _partial_states_iter(agg, group_fn, arg_fns)
+    return _partial_states_iter(agg, group_fns, arg_fns, mem, entry_bytes)
 
 
-def _partial_states_iter(agg, group_fn, arg_fns) -> Iterator[tuple]:
-    from repro.exec.operators import _entry_bytes
-
-    mem = entry_bytes = None
-    if getattr(agg, "wlm_ctx", None) is not None:
-        mem = agg.wlm_ctx.memory_for(agg)
-        entry_bytes = _entry_bytes(agg.schema)
+def _partial_states_iter(agg, group_fns, arg_fns, mem,
+                         entry_bytes: int) -> Iterator[tuple]:
     specs = agg.aggs
     states: dict = {}
-    ordered: List[tuple] = []
-
-    def cells_for(key: tuple) -> List[list]:
-        cells = states.get(key)
-        if cells is None:
-            cells = states[key] = [[0, 0.0, None, None] for _ in specs]
-            ordered.append(key)
-            if mem is not None:
-                mem.grow(entry_bytes)
-        return cells
-
-    def feed(cells: List[list], member: np.ndarray, count: int,
-             arg_vecs: List[Optional[ColumnVector]]) -> None:
-        for spec, cell, vec in zip(specs, cells, arg_vecs):
-            if vec is None:                        # COUNT(*)
-                cell[0] += count
-                continue
-            mvalid = vec.validity[member]
-            sub = member if mvalid.all() else member[mvalid]
-            k = int(len(sub))
-            if not k:
-                continue
-            cell[0] += k
-            func = spec.func
-            if func in ("sum", "avg"):
-                # left-to-right adds from the running total: identical
-                # float rounding to the row path's per-row `+=`
-                cell[1] = sum(vec.data[sub].tolist(), cell[1])
-            elif func == "min":
-                low = min(vec.data[sub].tolist())
-                if cell[2] is None or low < cell[2]:
-                    cell[2] = low
-            elif func == "max":
-                high = max(vec.data[sub].tolist())
-                if cell[3] is None or high > cell[3]:
-                    cell[3] = high
-
-    try:
-        for batch in agg.child.batches():
-            arg_vecs = [None if fn is _STAR else fn(batch)
-                        for fn in arg_fns]
-            if group_fn is None:
-                all_rows = np.arange(batch.n)
-                feed(cells_for(()), all_rows, batch.n, arg_vecs)
-                continue
-            gvec = group_fn(batch)
-            validity = gvec.validity
-            n = batch.n
-            # dense group codes with the NULL group as its own bucket
-            if validity.all():
-                uniq, codes = np.unique(gvec.data, return_inverse=True)
-                n_groups = len(uniq)
-            elif not validity.any():
-                uniq = np.empty(0, dtype=gvec.data.dtype)
-                codes = np.zeros(n, dtype=np.int64)
-                n_groups = 0
-            else:
-                valid_idx = np.flatnonzero(validity)
-                uniq, inverse = np.unique(gvec.data[valid_idx],
-                                          return_inverse=True)
-                n_groups = len(uniq)
-                codes = np.full(n, n_groups, dtype=np.int64)
-                codes[valid_idx] = inverse
-            total = n_groups + (0 if validity.all() else 1)
-            # members of each code in ascending row order
-            order_idx = np.argsort(codes, kind="stable")
-            bounds = np.searchsorted(codes[order_idx], np.arange(total + 1))
-            # process codes by first occurrence so groups are created in
-            # first-seen row order, exactly like the row path's dict
-            first = np.full(total, n, dtype=np.int64)
-            np.minimum.at(first, codes, np.arange(n))
-            for code in np.argsort(first, kind="stable").tolist():
-                member = order_idx[bounds[code]:bounds[code + 1]]
-                if code < n_groups:
-                    key = (_unbox(uniq[code]),)
-                else:
-                    key = (None,)
-                feed(cells_for(key), member, int(len(member)), arg_vecs)
-        if not states and group_fn is None:
-            yield tuple((0, 0.0, None, None) for _ in specs)
-            return
-        for key in ordered:
-            yield key + tuple(tuple(cell) for cell in states[key])
-    finally:
+    for batch in agg.child.batches():
+        if not batch.n:
+            continue
+        arg_vecs = [None if fn is _STAR else fn(batch) for fn in arg_fns]
+        if group_fns:
+            keys, codes = group_codes([fn(batch) for fn in group_fns],
+                                      batch.n)
+            members = _members(codes, len(keys))
+        else:
+            keys, members = [()], [np.arange(batch.n)]
+        created = len(states)
+        for key, member in zip(keys, members):
+            cells = states.get(key)
+            if cells is None:
+                cells = states[key] = [[0, 0.0, None, None] for _ in specs]
+            _feed(specs, cells, member, arg_vecs)
         if mem is not None:
-            mem.finish()
+            mem.grow_rows(len(states) - created, entry_bytes)
+    if not states and not group_fns:
+        yield tuple((0, 0.0, None, None) for _ in specs)
+        return
+    for key, cells in states.items():
+        yield key + tuple(tuple(cell) for cell in cells)
+
+
+def _feed(specs, cells: List[list], member: np.ndarray,
+          arg_vecs: List[Optional[ColumnVector]]) -> None:
+    for spec, cell, vec in zip(specs, cells, arg_vecs):
+        if vec is None:                            # COUNT(*)
+            cell[0] += len(member)
+            continue
+        mvalid = vec.validity[member]
+        sub = member if mvalid.all() else member[mvalid]
+        if not len(sub):
+            continue
+        cell[0] += len(sub)
+        func = spec.func
+        if func == "count":
+            continue
+        values = vec.data[sub].tolist()
+        if func in ("sum", "avg"):
+            # left-to-right adds from the running total: identical float
+            # rounding to the row path's per-row `+=`
+            cell[1] = sum(values, cell[1])
+        elif func == "min":
+            low = min(values)
+            if cell[2] is None or low < cell[2]:
+                cell[2] = low
+        elif func == "max":
+            high = max(values)
+            if cell[3] is None or high > cell[3]:
+                cell[3] = high
 
 
 # -- sort kernel ----------------------------------------------------------
@@ -559,39 +574,76 @@ def sorted_batches(sort_op, collected: List[Batch]) -> Iterator[Batch]:
         yield big.take(order[start:start + step])
 
 
-# -- join probe -----------------------------------------------------------
+# -- hash join ------------------------------------------------------------
 
-def probe_batches(join, table) -> Iterator[Batch]:
-    """Vectorized-probe inner equi-join: batched left, row-built right.
+def _input_batches(op, batch_size: int) -> Iterator[Batch]:
+    """``op``'s counted batches, or its row stream wrapped into batches."""
+    if op.batch_mode:
+        return op.batches()
+    return batches_from_rows(op.execute(), len(op.schema), batch_size)
 
-    Keys are extracted with compiled batch expressions; the per-lane dict
-    probe emits (left lane, build row) pairs in lane-major, build-insertion
-    order — the exact output order of the row path's probe loop.  Right-side
-    columns materialize as object vectors holding the build rows' original
-    Python values.
+
+def _all_valid(vecs: List[ColumnVector], n: int) -> np.ndarray:
+    valid = np.ones(n, dtype=bool)
+    for vec in vecs:
+        valid &= vec.validity
+    return valid
+
+
+def hash_join_batches(join, mem, entry_bytes: int) -> Iterator[Batch]:
+    """Inner equi-join over column batches, in the row path's exact order.
+
+    The build (right) side is buffered batch by batch — each batch's rows
+    with non-NULL keys are charged as they arrive, like the row path's
+    per-row build — then indexed once: one index array per key, in
+    build-insertion order.  Each probe (left) batch looks its lanes' keys
+    up and emits ``left.take(li) ++ right.take(ri)`` in lane-major,
+    build-insertion order, which is the row path's probe-loop order.  NULL
+    keys never match on either side.  A side that cannot batch is wrapped
+    with ``batches_from_rows``.
     """
-    key_fns = join._batch_keys
-    right_width = len(join.right.schema)
-    for batch in join.left.batches():
-        key_vecs = [fn(batch) for fn in key_fns]
-        left_idx: List[int] = []
-        right_rows: List[tuple] = []
-        for i in range(batch.n):
-            if not all(vec.validity[i] for vec in key_vecs):
-                continue
-            matches = table.get(tuple(vec.data[i] for vec in key_vecs))
-            if not matches:
-                continue
-            for row in matches:
-                left_idx.append(i)
-                right_rows.append(row)
-        if not left_idx:
+    build_parts: List[Batch] = []
+    key_parts: List[Batch] = []
+    for batch in _input_batches(join.right, join.batch_size):
+        vecs = [fn(batch) for fn in join._batch_right_keys]
+        if mem is not None:
+            mem.grow_rows(int(_all_valid(vecs, batch.n).sum()), entry_bytes)
+        build_parts.append(batch)
+        key_parts.append(Batch(vecs, batch.n))
+    table: dict = {}
+    if build_parts:
+        build = concat_batches(build_parts, len(join.right.schema))
+        keys = concat_batches(key_parts, len(key_parts[0].columns))
+        table = _build_index(keys.columns, build.n)
+    left_fns = join._batch_left_keys
+    for batch in _input_batches(join.left, join.batch_size):
+        if not table:
+            continue                    # still drain the probe side
+        lanes: List[int] = []
+        hits: List[np.ndarray] = []
+        for i, key in enumerate(zip(*[_py_values(fn(batch))
+                                      for fn in left_fns])):
+            match = table.get(key)
+            if match is not None:
+                lanes.append(i)
+                hits.append(match)
+        if not hits:
             continue
-        idx = np.asarray(left_idx, dtype=np.int64)
-        left_cols = [ColumnVector(c.data[idx], c.validity[idx])
-                     for c in batch.columns]
-        yield Batch(left_cols + _object_columns(right_rows, right_width),
-                    len(idx))
+        li = np.repeat(np.asarray(lanes, dtype=np.int64),
+                       [len(h) for h in hits])
+        ri = np.concatenate(hits)
+        yield Batch(batch.take(li).columns + build.take(ri).columns, len(li))
+
+
+def _build_index(key_vecs: List[ColumnVector], n: int) -> dict:
+    """Key tuple -> build row indices, skipping rows with a NULL key."""
+    rows = np.flatnonzero(_all_valid(key_vecs, n))
+    if len(rows) < n:
+        key_vecs = [ColumnVector(v.data[rows], v.validity[rows])
+                    for v in key_vecs]
+    keys, codes = group_codes(key_vecs, len(rows))
+    return {key: rows[member]
+            for key, member in zip(keys, _members(codes, len(keys)))}
 
 
 # -- activation pass ------------------------------------------------------
@@ -599,28 +651,45 @@ def probe_batches(join, table) -> Iterator[Batch]:
 def enable_batches(root, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
     """Mark every operator whose subtree can run in batch mode.
 
-    Top-down: a ``LIMIT`` forbids batching in its whole subtree (it stops
-    pulling mid-stream, so a batched descendant would over-count rows
-    relative to the row path); every other operator fully drains its
+    Top-down: a ``LIMIT`` stops pulling mid-stream, so the streaming chain
+    under it stays row-mode (a batched operator there would count rows the
+    row path never produced) down to and including the first blocking
+    operator.  A sort or aggregation drains its whole input on both paths,
+    so its children batch again.  Every other operator fully drains its
     children, which makes batch->row bridges count-exact.  Compiled batch
     expressions are cached on the operators, so a plan activated once (and
     then held in the plan cache) never recompiles.
     """
-    _activate(root, batch_size, allow=True)
-
-
-def _activate(op, batch_size: int, allow: bool) -> None:
     from repro.exec import operators as ops
 
+    _activate(root, batch_size, True, ops)
+
+
+def _activate(op, batch_size: int, allow: bool, ops) -> None:
     if isinstance(op, ops.PLimit):
-        allow = False
+        below = False
+    elif isinstance(op, _blocking(ops)):
+        below = True
+    else:
+        below = allow
     for child in op.children():
-        _activate(child, batch_size, allow)
-    if not allow:
-        op.batch_mode = False
-        return
+        _activate(child, batch_size, below, ops)
     op.batch_size = batch_size
-    op.batch_mode = _can_batch(op, ops)
+    # compiled even where batching is not allowed: a row-mode sort under a
+    # LIMIT still sorts a batching child with the batch kernel
+    can = _can_batch(op, ops)
+    op.batch_mode = allow and can
+
+
+def _blocking(ops) -> tuple:
+    """Operators that drain their whole input before emitting a row."""
+    return (ops.PSort, ops.PPartialAgg, ops.PFinalAgg, ops.PHashAggregate)
+
+
+def _holds_memory(op, ops) -> bool:
+    """Whether anything in ``op``'s subtree reserves query memory."""
+    return any(isinstance(o, _blocking(ops) + (ops.PHashJoin,))
+               for o in ops.walk_physical(op))
 
 
 def _can_batch(op, ops) -> bool:
@@ -653,6 +722,7 @@ def _can_batch(op, ops) -> bool:
         op._batch_exprs = fns
         return True
     if isinstance(op, ops.PSort):
+        op._batch_keys = None
         if not op.child.batch_mode:
             return False
         keys = [(compile_expr(e), d) for e, d in op.keys]
@@ -661,17 +731,26 @@ def _can_batch(op, ops) -> bool:
         op._batch_keys = keys
         return True
     if isinstance(op, ops.PHashJoin):
-        # Inner equi-joins without residuals: the probe's output order is
+        # Inner equi-joins without residuals: the output order is
         # lane-major/build-order either way.  Outer joins and residuals
-        # interleave pad rows mid-stream and stay on the row path.
+        # interleave pad rows mid-stream and stay on the row path.  A side
+        # that cannot batch is wrapped into batches, which reads ahead of
+        # the join's consumer; nothing under it may hold memory, or its
+        # release would land before the consumer's charges for the last
+        # rows instead of after them.
         if op.kind != "inner" or op.residual is not None:
             return False
-        if not op.left.batch_mode:
+        sides = (op.left, op.right)
+        if not any(side.batch_mode for side in sides):
             return False
-        keys = [compile_expr(k) for k in op.left_keys]
-        if any(fn is None for fn in keys):
+        if any(not side.batch_mode and _holds_memory(side, ops)
+               for side in sides):
             return False
-        op._batch_keys = keys
+        left = [compile_expr(k) for k in op.left_keys]
+        right = [compile_expr(k) for k in op.right_keys]
+        if any(fn is None for fn in left + right):
+            return False
+        op._batch_left_keys, op._batch_right_keys = left, right
         return True
     if isinstance(op, ops.PPartialAgg):
         # Reuses its own row/vector aggregation math and ships the state

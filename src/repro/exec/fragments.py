@@ -147,9 +147,13 @@ def vector_scan_rows(scan) -> Iterator[tuple]:
             )
 
 
-def vector_partial_states(agg) -> Optional[Iterator[tuple]]:
+def vector_partial_states(agg, mem=None,
+                          entry_bytes: int = 0) -> Optional[Iterator[tuple]]:
     """Vectorized ``PPartialAgg`` over a column-oriented shard scan.
 
+    Memory-governed queries charge each new group's state to ``mem``
+    (``agg``'s tracker, which spills on the DN the fragment runs on),
+    exactly like the row-at-a-time path; the caller releases it.
     Applicable when the child is a vector-capable scan, grouping is on at
     most one plain column, and every referenced column is non-nullable (the
     ``scan_filter`` kernel drops validity masks, so NULL-bearing columns
@@ -192,11 +196,11 @@ def vector_partial_states(agg) -> Optional[Iterator[tuple]]:
         if spec is not None and spec.func != "count" and not col.data_type.is_numeric:
             return None
     return _vector_partial_iter(scan, store_fn(), group_names, agg_names,
-                                agg.aggs, preds, agg=agg)
+                                agg.aggs, preds, mem, entry_bytes)
 
 
 def _vector_partial_iter(scan, store, group_names, agg_names, specs,
-                         preds, agg=None) -> Iterator[tuple]:
+                         preds, mem, entry_bytes: int) -> Iterator[tuple]:
     import numpy as np
 
     needed = list(dict.fromkeys(
@@ -205,15 +209,6 @@ def _vector_partial_iter(scan, store, group_names, agg_names, specs,
         needed = [scan.table_schema.primary_key]   # COUNT(*)-only: row counts
     states: Dict[tuple, List[list]] = {}
     order: List[tuple] = []
-    # Memory-governed queries charge each new group's state against the
-    # resource-group budget, exactly like the row-at-a-time path; the
-    # tracker spills on the DN this fragment runs on (agg._wlm_dn).
-    mem = entry_bytes = None
-    if agg is not None and getattr(agg, "wlm_ctx", None) is not None:
-        from repro.exec.operators import _entry_bytes as _width
-
-        mem = agg.wlm_ctx.memory_for(agg)
-        entry_bytes = _width(agg.schema)
 
     def cells_for(key: tuple) -> List[list]:
         cells = states.get(key)
@@ -242,28 +237,24 @@ def _vector_partial_iter(scan, store, group_names, agg_names, specs,
                 if cell[3] is None or high > cell[3]:
                     cell[3] = high
 
-    try:
-        rows_in = 0
-        for batch in scan_filter(store, needed, preds):
-            n = int(len(batch[needed[0]]))
-            rows_in += n
-            if group_names:
-                gvals = batch[group_names[0]]
-                uniq, order_idx, bounds = group_bounds(gvals)
-                for i, gv in enumerate(uniq):
-                    member = order_idx[bounds[i]:bounds[i + 1]]
-                    update(cells_for((_unbox(gv),)), int(len(member)),
-                           {name: batch[name][member] for name in needed})
-            else:
-                update(cells_for(()), n, batch)
-        # The fast path bypasses the scan's own execute(); account its rows
-        # so profiling and learning feedback still see the fragment's scan
-        # volume.
-        scan.actual_rows += rows_in
-        if not order and not group_names:
-            cells_for(())                           # global agg over zero rows
-        for key in order:
-            yield key + tuple(tuple(cell) for cell in states[key])
-    finally:
-        if mem is not None:
-            mem.finish()
+    rows_in = 0
+    for batch in scan_filter(store, needed, preds):
+        n = int(len(batch[needed[0]]))
+        rows_in += n
+        if group_names:
+            gvals = batch[group_names[0]]
+            uniq, order_idx, bounds = group_bounds(gvals)
+            for i, gv in enumerate(uniq):
+                member = order_idx[bounds[i]:bounds[i + 1]]
+                update(cells_for((_unbox(gv),)), int(len(member)),
+                       {name: batch[name][member] for name in needed})
+        else:
+            update(cells_for(()), n, batch)
+    # The fast path bypasses the scan's own execute(); account its rows
+    # so profiling and learning feedback still see the fragment's scan
+    # volume.
+    scan.actual_rows += rows_in
+    if not order and not group_names:
+        cells_for(())                           # global agg over zero rows
+    for key in order:
+        yield key + tuple(tuple(cell) for cell in states[key])

@@ -146,11 +146,30 @@ def _entry_bytes(schema: Schema) -> int:
             + ENTRY_OVERHEAD_BYTES)
 
 
-def _op_memory(op: PhysicalOp):
-    """(tracker, per-entry bytes) when the query is governed, else (None, 0)."""
+def _op_memory(op: PhysicalOp, schema: Optional[Schema] = None):
+    """(tracker, per-entry bytes) when the query is governed, else (None, 0).
+
+    Entries are sized by ``schema`` (default: the operator's own output).
+    """
     if op.wlm_ctx is None:
         return None, 0
-    return op.wlm_ctx.memory_for(op), _entry_bytes(op.schema)
+    return (op.wlm_ctx.memory_for(op),
+            _entry_bytes(op.schema if schema is None else schema))
+
+
+def _holding(op: PhysicalOp, body, schema: Optional[Schema] = None):
+    """Run ``body(mem, entry_bytes)`` under ``op``'s memory reservation.
+
+    The reservation is released only when the consumer pulls past the last
+    item ``body`` yields, on the row and the batch path alike, so budget
+    events (and with them every spill) happen in the same order on both.
+    """
+    mem, entry_bytes = _op_memory(op, schema)
+    try:
+        yield from body(mem, entry_bytes)
+    finally:
+        if mem is not None:
+            mem.finish()
 
 
 class PScan(PhysicalOp):
@@ -381,49 +400,18 @@ class PHashJoin(PhysicalOp):
     def execute(self) -> Iterator[tuple]:
         if self.batch_mode:
             return self._bridge_rows()
-        return self._count(self._join())
-
-    def _join(self) -> Iterator[tuple]:
-        mem = None
-        if self.wlm_ctx is not None:
-            # The build side is what resides in memory: charge per right row.
-            mem = self.wlm_ctx.memory_for(self)
-            entry_bytes = _entry_bytes(self.right.schema)
-        try:
-            yield from self._join_inner(mem, entry_bytes if mem else 0)
-        finally:
-            if mem is not None:
-                mem.finish()
+        # The build side is what resides in memory: charge per right row.
+        return self._count(_holding(self, self._join, self.right.schema))
 
     def execute_batches(self):
-        """Batched probe: row-built hash table, vectorized key extraction.
+        """Vectorized build and probe (:func:`repro.exec.batch.
+        hash_join_batches`), charged per build row like the row path."""
+        from repro.exec.batch import hash_join_batches
 
-        The build side stays row-at-a-time (identical memory accounting and
-        NULL-key handling); the probe consumes left batches and emits
-        combined batches in the row path's exact output order.
-        """
-        from repro.exec.batch import probe_batches
+        return _holding(self, lambda mem, entry_bytes: hash_join_batches(
+            self, mem, entry_bytes), self.right.schema)
 
-        mem = None
-        entry_bytes = 0
-        if self.wlm_ctx is not None:
-            mem = self.wlm_ctx.memory_for(self)
-            entry_bytes = _entry_bytes(self.right.schema)
-        try:
-            table: Dict[tuple, List[tuple]] = {}
-            for row in self.right.execute():
-                key = tuple(k.eval(row) for k in self.right_keys)
-                if any(v is None for v in key):
-                    continue
-                table.setdefault(key, []).append(row)
-                if mem is not None:
-                    mem.grow(entry_bytes)
-            yield from probe_batches(self, table)
-        finally:
-            if mem is not None:
-                mem.finish()
-
-    def _join_inner(self, mem, entry_bytes: int) -> Iterator[tuple]:
+    def _join(self, mem, entry_bytes: int) -> Iterator[tuple]:
         table: Dict[tuple, List[tuple]] = {}
         for row in self.right.execute():
             key = tuple(k.eval(row) for k in self.right_keys)
@@ -554,35 +542,28 @@ class PHashAggregate(PhysicalOp):
         return (self.child,)
 
     def execute(self) -> Iterator[tuple]:
-        return self._count(self._aggregate())
+        return self._count(_holding(self, self._aggregate))
 
-    def _aggregate(self) -> Iterator[tuple]:
-        mem, entry_bytes = _op_memory(self)
-        try:
-            groups: Dict[tuple, List[_Accumulator]] = {}
-            ordered_keys: List[tuple] = []
-            for row in self.child.execute():
-                key = tuple(g.eval(row) for g in self.group_exprs)
-                accs = groups.get(key)
-                if accs is None:
-                    accs = [_Accumulator(a.func, a.distinct) for a in self.aggs]
-                    groups[key] = accs
-                    ordered_keys.append(key)
-                    if mem is not None:
-                        mem.grow(entry_bytes)
-                for spec, acc in zip(self.aggs, accs):
-                    value = _STAR if spec.arg is None else spec.arg.eval(row)
-                    acc.add(value)
-            if not groups and not self.group_exprs:
-                # Global aggregate over zero rows still yields one row.
+    def _aggregate(self, mem, entry_bytes: int) -> Iterator[tuple]:
+        groups: Dict[tuple, List[_Accumulator]] = {}
+        for row in self.child.execute():
+            key = tuple(g.eval(row) for g in self.group_exprs)
+            accs = groups.get(key)
+            if accs is None:
                 accs = [_Accumulator(a.func, a.distinct) for a in self.aggs]
-                yield tuple(acc.result() for acc in accs)
-                return
-            for key in ordered_keys:
-                yield key + tuple(acc.result() for acc in groups[key])
-        finally:
-            if mem is not None:
-                mem.finish()
+                groups[key] = accs
+                if mem is not None:
+                    mem.grow(entry_bytes)
+            for spec, acc in zip(self.aggs, accs):
+                value = _STAR if spec.arg is None else spec.arg.eval(row)
+                acc.add(value)
+        if not groups and not self.group_exprs:
+            # Global aggregate over zero rows still yields one row.
+            accs = [_Accumulator(a.func, a.distinct) for a in self.aggs]
+            yield tuple(acc.result() for acc in accs)
+            return
+        for key, accs in groups.items():
+            yield key + tuple(acc.result() for acc in accs)
 
     def describe(self) -> str:
         return ("HashAggregate group=["
@@ -591,6 +572,10 @@ class PHashAggregate(PhysicalOp):
 
 
 class PSort(PhysicalOp):
+    #: Compiled batch sort keys, set by the activation pass whenever the
+    #: child batches — in batch mode and in row mode under a LIMIT alike.
+    _batch_keys = None
+
     def __init__(self, child: PhysicalOp, keys: List[Tuple[BoundExpr, bool]],
                  estimated_rows: float = 0.0):
         super().__init__(child.schema, estimated_rows)
@@ -603,48 +588,46 @@ class PSort(PhysicalOp):
     def execute(self) -> Iterator[tuple]:
         if self.batch_mode:
             return self._bridge_rows()
+        if self._batch_keys is not None:
+            # Row-mode under a LIMIT over a batching child: the same sort
+            # kernel, counted per row the LIMIT actually pulls.
+            from repro.exec.batch import rows_from_batches
 
-        def gen() -> Iterator[tuple]:
-            mem, entry_bytes = _op_memory(self)
-            try:
-                rows = []
-                for row in self.child.execute():
-                    rows.append(row)
-                    if mem is not None:
-                        mem.grow(entry_bytes)
-                # Stable multi-key sort: apply keys last-to-first; NULLs
-                # sort last ascending, first descending.
-                for expr, descending in reversed(self.keys):
-                    rows.sort(
-                        key=lambda row: _sort_key(expr.eval(row), descending),
-                        reverse=descending,
-                    )
-                yield from rows
-            finally:
-                if mem is not None:
-                    mem.finish()
+            return self._count(rows_from_batches(self.execute_batches()))
+        return self._count(_holding(self, self._sort_rows))
 
-        return self._count(gen())
+    def _sort_rows(self, mem, entry_bytes: int) -> Iterator[tuple]:
+        rows = []
+        for row in self.child.execute():
+            rows.append(row)
+            if mem is not None:
+                mem.grow(entry_bytes)
+        # Stable multi-key sort: apply keys last-to-first; NULLs sort last
+        # ascending, first descending.
+        for expr, descending in reversed(self.keys):
+            rows.sort(
+                key=lambda row: _sort_key(expr.eval(row), descending),
+                reverse=descending,
+            )
+        yield from rows
 
     def execute_batches(self):
         """Buffer child batches, sort once with stable lexsort passes.
 
-        Memory is charged per buffered batch (``entry_bytes * n``) — the
-        same total as the row path's per-row charge, at coarser spill grain.
+        Memory is charged per buffered batch through ``grow_rows``, which
+        spills exactly where the row path's per-row charge would.
         """
+        return _holding(self, self._sort_batches)
+
+    def _sort_batches(self, mem, entry_bytes: int):
         from repro.exec.batch import sorted_batches
 
-        mem, entry_bytes = _op_memory(self)
-        try:
-            collected = []
-            for batch in self.child.batches():
-                collected.append(batch)
-                if mem is not None:
-                    mem.grow(entry_bytes * batch.n)
-            yield from sorted_batches(self, collected)
-        finally:
+        collected = []
+        for batch in self.child.batches():
+            collected.append(batch)
             if mem is not None:
-                mem.finish()
+                mem.grow_rows(batch.n, entry_bytes)
+        yield from sorted_batches(self, collected)
 
     def describe(self) -> str:
         keys = ", ".join(f"{e.text()}{' DESC' if d else ''}" for e, d in self.keys)
@@ -911,62 +894,54 @@ class PPartialAgg(PhysicalOp):
     def execute(self) -> Iterator[tuple]:
         if self.batch_mode:
             return self._bridge_rows()
-        return self._count(self._aggregate())
+        return self._count(_holding(self, self._states))
 
     def execute_batches(self):
-        """Ship partial states as object batches across the exchange.
+        """Ship partial states as object batches across the exchange."""
+        from repro.exec.batch import batches_from_rows
 
-        Aggregation math stays bit-identical to the row path: the shared
-        vector fast path is tried first (the row path would use it too);
-        otherwise the batch-native kernel accumulates over column lanes
-        with the row path's exact arithmetic; only then does the row-path
-        ``_aggregate`` run over bridged rows.
+        width = len(self.schema)
+        return _holding(self, lambda mem, entry_bytes: batches_from_rows(
+            self._states(mem, entry_bytes), width, self.batch_size))
+
+    def _states(self, mem, entry_bytes: int) -> Iterator[tuple]:
+        """Partial state rows, with bit-identical math on every path.
+
+        The shared vector fast path is tried first (the row path would use
+        it too); otherwise the batch-native kernel accumulates over a
+        batching child's column lanes with the row path's exact
+        arithmetic; only then does the row loop run.
         """
-        from repro.exec.batch import (batches_from_rows,
-                                      partial_states_from_batches)
+        from repro.exec.batch import partial_states_from_batches
         from repro.exec.fragments import vector_partial_states
 
-        states = vector_partial_states(self)
+        states = vector_partial_states(self, mem, entry_bytes)
         if states is None:
-            states = partial_states_from_batches(self)
+            states = partial_states_from_batches(self, mem, entry_bytes)
         if states is None:
-            states = self._aggregate()
-        yield from batches_from_rows(states, len(self.schema),
-                                     self.batch_size)
+            states = self._row_states(mem, entry_bytes)
+        return states
 
-    def _aggregate(self) -> Iterator[tuple]:
-        from repro.exec.fragments import vector_partial_states
-
-        fast = vector_partial_states(self)
-        if fast is not None:
-            yield from fast
+    def _row_states(self, mem, entry_bytes: int) -> Iterator[tuple]:
+        groups: Dict[tuple, List[List[object]]] = {}
+        for row in self.child.execute():
+            key = tuple(g.eval(row) for g in self.group_exprs)
+            cells = groups.get(key)
+            if cells is None:
+                cells = groups[key] = [[0, 0.0, None, None]
+                                       for _ in self.aggs]
+                if mem is not None:
+                    mem.grow(entry_bytes)
+            for spec, cell in zip(self.aggs, cells):
+                value = _STAR if spec.arg is None else spec.arg.eval(row)
+                _partial_add(cell, spec.func, value)
+        if not groups and not self.group_exprs:
+            # A global aggregate ships one (empty) state row per node, so
+            # the final aggregate sees every node even over zero rows.
+            yield tuple((0, 0.0, None, None) for _ in self.aggs)
             return
-        mem, entry_bytes = _op_memory(self)
-        try:
-            groups: Dict[tuple, List[List[object]]] = {}
-            ordered: List[tuple] = []
-            for row in self.child.execute():
-                key = tuple(g.eval(row) for g in self.group_exprs)
-                cells = groups.get(key)
-                if cells is None:
-                    cells = groups[key] = [[0, 0.0, None, None]
-                                           for _ in self.aggs]
-                    ordered.append(key)
-                    if mem is not None:
-                        mem.grow(entry_bytes)
-                for spec, cell in zip(self.aggs, cells):
-                    value = _STAR if spec.arg is None else spec.arg.eval(row)
-                    _partial_add(cell, spec.func, value)
-            if not groups and not self.group_exprs:
-                # A global aggregate ships one (empty) state row per node, so
-                # the final aggregate sees every node even over zero rows.
-                yield tuple((0, 0.0, None, None) for _ in self.aggs)
-                return
-            for key in ordered:
-                yield key + tuple(tuple(cell) for cell in groups[key])
-        finally:
-            if mem is not None:
-                mem.finish()
+        for key, cells in groups.items():
+            yield key + tuple(tuple(cell) for cell in cells)
 
     def describe(self) -> str:
         return ("PartialAggregate group=["
@@ -996,36 +971,29 @@ class PFinalAgg(PhysicalOp):
         return (self.child,)
 
     def execute(self) -> Iterator[tuple]:
-        return self._count(self._aggregate())
+        return self._count(_holding(self, self._aggregate))
 
-    def _aggregate(self) -> Iterator[tuple]:
+    def _aggregate(self, mem, entry_bytes: int) -> Iterator[tuple]:
         n = self.n_group_cols
-        mem, entry_bytes = _op_memory(self)
-        try:
-            groups: Dict[tuple, List[List[object]]] = {}
-            ordered: List[tuple] = []
-            for row in self.child.execute():
-                key = row[:n]
-                cells = groups.get(key)
-                if cells is None:
-                    cells = groups[key] = [[0, 0.0, None, None]
-                                           for _ in self.aggs]
-                    ordered.append(key)
-                    if mem is not None:
-                        mem.grow(entry_bytes)
-                for cell, state in zip(cells, row[n:]):
-                    _merge_state(cell, state)
-            if not groups and n == 0:
-                cells = [[0, 0.0, None, None] for _ in self.aggs]
-                yield tuple(_finalize_state(c, s.func)
-                            for c, s in zip(cells, self.aggs))
-                return
-            for key in ordered:
-                yield key + tuple(_finalize_state(c, s.func)
-                                  for c, s in zip(groups[key], self.aggs))
-        finally:
-            if mem is not None:
-                mem.finish()
+        groups: Dict[tuple, List[List[object]]] = {}
+        for row in self.child.execute():
+            key = row[:n]
+            cells = groups.get(key)
+            if cells is None:
+                cells = groups[key] = [[0, 0.0, None, None]
+                                       for _ in self.aggs]
+                if mem is not None:
+                    mem.grow(entry_bytes)
+            for cell, state in zip(cells, row[n:]):
+                _merge_state(cell, state)
+        if not groups and n == 0:
+            cells = [[0, 0.0, None, None] for _ in self.aggs]
+            yield tuple(_finalize_state(c, s.func)
+                        for c, s in zip(cells, self.aggs))
+            return
+        for key, cells in groups.items():
+            yield key + tuple(_finalize_state(c, s.func)
+                              for c, s in zip(cells, self.aggs))
 
     def describe(self) -> str:
         names = ", ".join(c.name for c in self.schema[:self.n_group_cols])

@@ -5,7 +5,8 @@ partial/final aggregation) hold state proportional to their input; this
 module is how that state is charged against the query's resource-group
 budget.  Each operator obtains an :class:`OperatorMemory` tracker from its
 query's :class:`~repro.wlm.governor.WlmQueryContext` and calls
-:meth:`OperatorMemory.grow` per hash-table entry / build row / sorted row.
+:meth:`OperatorMemory.grow` per hash-table entry / build row / sorted row
+(:meth:`OperatorMemory.grow_rows` for a batch of them, with the same result).
 When the *query-wide* reservation exceeds the group budget, the growing
 operator spills part of its partition: the bytes leave memory, the operator
 is charged simulated storage I/O time (write plus the eventual read-back),
@@ -85,6 +86,30 @@ class OperatorMemory:
             self.held_bytes -= freed
             self.budget.shrink(freed)
             self.ctx.note_spill(self.op, freed)
+
+    def grow_rows(self, n: int, entry_bytes: int) -> None:
+        """Reserve ``n`` entries at once, exactly as ``n`` single ``grow``\\ s.
+
+        Batch operators charge a whole batch per call; held bytes, spill
+        events and their sizes must still match the row path's per-entry
+        charging.  Entries that fit under the cap go in one step (no
+        single-entry grow among them could spill); the entry that overflows
+        goes alone, so every spill triggers where the row path's would.
+        """
+        entry_bytes = int(entry_bytes)
+        if entry_bytes <= 0:
+            return
+        budget = self.budget
+        while n > 0:
+            fit = (budget.cap_bytes - budget.reserved_bytes) // entry_bytes
+            if fit >= n:
+                self.grow(n * entry_bytes)
+                return
+            if fit > 0:
+                self.grow(fit * entry_bytes)
+                n -= fit
+            self.grow(entry_bytes)
+            n -= 1
 
     def finish(self) -> None:
         """Release this operator's residency back to the query budget."""

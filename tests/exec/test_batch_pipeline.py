@@ -227,14 +227,44 @@ class TestActivation:
         enable_batches(physical)
         return physical
 
-    def test_limit_subtree_stays_row_mode(self, engines):
+    def test_limit_batches_below_first_blocking_operator(self, engines):
+        from repro.exec import operators as ops
         batch, _ = engines
+        # a streaming chain directly under a LIMIT stays row-mode throughout
+        physical = self._plan(batch, "select id from t where v > 4 limit 3")
+        assert not any(op.batch_mode for op in walk_physical(physical))
+        # the first blocking operator under it stays row-mode (it counts
+        # only the rows the LIMIT pulls) but sorts with the batch kernel,
+        # and everything below it batches
         physical = self._plan(
             batch, "select id from t where v > 4 order by v limit 3")
-        from repro.exec import operators as ops
-        for op in walk_physical(physical):
-            if isinstance(op, (ops.PScan, ops.PSort)):
-                assert not op.batch_mode
+        sorts = [op for op in walk_physical(physical)
+                 if isinstance(op, ops.PSort)]
+        assert len(sorts) == 1
+        sort = sorts[0]
+        assert not sort.batch_mode and sort._batch_keys is not None
+        below = list(walk_physical(sort.child))
+        assert below and all(op.batch_mode for op in below)
+        assert not any(op.batch_mode for op in walk_physical(physical)
+                       if op not in below)
+
+    @pytest.mark.parametrize("sql", [
+        "select id from t where v > 4 limit 3",
+        "select id, v from t where v > 4 order by v desc, id limit 3",
+        "select id from t order by v, id limit 0",
+        "select g, count(*), sum(v) from t group by g order by g limit 2",
+        "select a.id, b.v from t a, t b where a.id = b.w "
+        "order by b.v, a.id limit 4",
+        "select a.id, b.v from t a, t b where a.id = b.w limit 4",
+    ])
+    def test_limit_row_counts_match_row_engine(self, engines, sql):
+        # the property the LIMIT rule protects: every operator's
+        # actual_rows (and so every simulated time) equals the row engine's
+        batch, row = engines
+        fast, seed = batch.execute(sql), row.execute(sql)
+        assert fast.rows == seed.rows
+        assert fast.profile.rows_table() == seed.profile.rows_table()
+        assert fast.profile.elapsed_time_us == seed.profile.elapsed_time_us
 
     def test_scan_batches_complex_predicates(self, engines):
         batch, _ = engines

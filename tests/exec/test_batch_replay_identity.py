@@ -12,9 +12,15 @@ Batching only changes *wall-clock*; every simulated quantity is a pure
 function of row counts, which the batch pipeline reproduces exactly.
 """
 
+import pytest
+
 from repro.cluster.mpp import MppCluster
+from repro.exec import operators as ops
+from repro.exec.batch import enable_batches
 from repro.exec.operators import walk_physical
 from repro.sql.engine import SqlEngine
+from repro.sql.parser import parse
+from repro.wlm import ResourceGroup, WlmConfig
 from repro.workloads.tpcc_lite import TpccLiteWorkload, load_tpcc
 
 
@@ -36,6 +42,18 @@ REPORTING = [
     "where ol_amount - ol_quantity > 10 order by ol_key",
     "explain analyze select d_id, sum(d_ytd) from district group by d_id "
     "order by d_id",
+    # row-table probe x column-table build join under a group-by: the join
+    # builds from order_line batches and probes wrapped item rows
+    "select i.i_name, count(*), sum(ol.ol_amount) from order_line ol, item i "
+    "where ol.i_id = i.i_id and ol.ol_quantity > 2 "
+    "group by i.i_name order by i.i_name",
+    # top-N over a column scan: the sort under LIMIT pulls batches
+    "select ol_key, ol_amount from order_line where ol_amount > 10 "
+    "order by ol_amount desc, ol_key limit 7",
+    # top-N over join plus aggregate
+    "select ol.i_id iid, count(*) n from order_line ol, item i "
+    "where ol.i_id = i.i_id and ol.ol_quantity > 2 "
+    "group by ol.i_id order by n desc, iid limit 5",
 ]
 
 MUTATIONS = [
@@ -76,6 +94,16 @@ def _run(fast: bool):
     for sql in REPORTING:
         results.append(engine.execute(sql))
     return cluster, engine, results
+
+
+def _activated(engine, sql):
+    txn = engine.cluster.session().begin(multi_shard=True)
+    try:
+        physical = engine.plan_select(parse(sql), txn)
+    finally:
+        txn.commit()
+    enable_batches(physical)
+    return physical
 
 
 def _query_metrics(cluster):
@@ -128,24 +156,91 @@ class TestBatchReplayIdentity:
     def test_fast_run_actually_batched_and_cached(self):
         # Guard the guard: the identity test is vacuous if the fast run
         # never exercised the fast path.
-        cluster, engine, _ = _run(fast=True)
+        _, engine, _ = _run(fast=True)
         assert engine.plan_cache.hits > 0
         assert engine.plan_cache.hit_rate > 0.3
         # a representative reporting plan activates batch mode on its scans
-        from repro.exec import operators as ops
-        from repro.exec.batch import enable_batches
-        from repro.sql.parser import parse
-        txn = cluster.session().begin(multi_shard=True)
-        try:
-            physical = engine.plan_select(parse(REPORTING[1]), txn)
-        finally:
-            txn.commit()
-        enable_batches(physical)
-        scans = [op for op in walk_physical(physical)
+        scans = [op for op in walk_physical(_activated(engine, REPORTING[1]))
                  if isinstance(op, ops.PScan)]
         assert scans and all(op.batch_mode for op in scans)
+        # the row-probe join batches over its row-only probe side
+        joins = [op for op in walk_physical(_activated(engine, REPORTING[6]))
+                 if isinstance(op, ops.PHashJoin)]
+        assert joins and all(op.batch_mode and not op.left.batch_mode
+                             and op.right.batch_mode for op in joins)
+        # a top-N sort stays row-mode but sorts batches from below
+        sorts = [op for op in walk_physical(_activated(engine, REPORTING[7]))
+                 if isinstance(op, ops.PSort)]
+        assert sorts and all(not op.batch_mode and op.child.batch_mode
+                             for op in sorts)
 
     def test_seed_engine_never_builds_batches(self):
         _, engine, results = _run(fast=False)
         assert engine.plan_cache.probes == 0
         assert all(r.rows is not None for r in results)
+
+
+# -- spill identity under a tight memory budget -----------------------------
+
+SPILL_QUERIES = [
+    # sort buffer over column batches
+    "select id, v from s where v > 10 order by v desc, id",
+    # top-N: row-mode sort over a batching child
+    "select id, v from s where v > 10 order by v desc, id limit 5",
+    # row-table probe x column-table build join under a group-by
+    "select d.name, count(*), sum(s.v) from s, d "
+    "where s.g = d.k and s.v > 100 group by d.name order by d.name",
+    # top-N over join plus aggregate
+    "select s.g grp, sum(s.v) total from d, s "
+    "where d.k = s.g and d.name <> 'n3' "
+    "group by s.g order by total desc, grp limit 3",
+    # partial aggregation shipped as state batches: the partials release
+    # their groups only after the final aggregate took the last batch
+    "select g, count(*), sum(v) from s where v > 3 or id < 5 "
+    "group by g order by g",
+]
+
+
+def _spill_run(batch: bool):
+    config = WlmConfig(groups=[
+        ResourceGroup("tight", slots=4, memory_per_query_bytes=20_000)])
+    cluster = MppCluster(num_dns=2, wlm_config=config)
+    engine = SqlEngine(cluster, batch_enabled=batch, plan_cache_size=0)
+    engine.execute("create table s (id int primary key, g int, v int) "
+                   "with (orientation = column)")
+    engine.execute("create table d (k int primary key, name text)")
+    engine.execute("insert into s values " + ", ".join(
+        f"({i}, {i % 600}, {(i * 37) % 1000})" for i in range(3000)))
+    engine.execute("insert into d values " + ", ".join(
+        f"({k}, 'n{k % 5}')" for k in range(600)))
+    engine.analyze()
+    cluster.htap.tick()
+    results = [engine.execute(sql, group="tight") for sql in SPILL_QUERIES]
+    waits = engine.execute("select * from sys.wait_events").rows
+    return results, waits
+
+
+class TestBatchSpillIdentity:
+    """Batch memory charging spills exactly where the row path does."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return _spill_run(batch=True), _spill_run(batch=False)
+
+    @pytest.mark.parametrize("index", range(len(SPILL_QUERIES)))
+    def test_spill_matches_row_path(self, runs, index):
+        (batch_results, _), (row_results, _) = runs
+        fast, seed = batch_results[index], row_results[index]
+        assert fast.rows == seed.rows
+        assert fast.profile.spilled_bytes == seed.profile.spilled_bytes
+        assert fast.profile.elapsed_time_us == seed.profile.elapsed_time_us
+        assert fast.profile.rows_table() == seed.profile.rows_table()
+
+    def test_wait_events_match_row_path(self, runs):
+        (_, batch_waits), (_, row_waits) = runs
+        assert batch_waits == row_waits
+
+    def test_budget_actually_spills(self, runs):
+        # guard the guard: every shape above must spill
+        (batch_results, _), _ = runs
+        assert all(r.profile.spilled_bytes > 0 for r in batch_results)

@@ -30,6 +30,32 @@ class TestMemoryBudget:
         assert spills and budget.reserved_bytes <= 100
         assert budget.peak_bytes == 120
 
+    @pytest.mark.parametrize("cap", [0, 90, 1000, 4321])
+    def test_grow_rows_equals_single_grows(self, cap):
+        from repro.wlm.memory import OperatorMemory
+
+        def replay(batched: bool):
+            spills = []
+
+            class Ctx:
+                def note_spill(self, op, nbytes):
+                    spills.append((op, nbytes))
+
+            budget = MemoryBudget(cap)
+            other = OperatorMemory(Ctx(), "other", budget)
+            mem = OperatorMemory(Ctx(), "op", budget)
+            other.grow(cap // 3)
+            for n, entry in [(5, 70), (40, 33), (1, 500), (64, 90), (0, 7)]:
+                if batched:
+                    mem.grow_rows(n, entry)
+                else:
+                    for _ in range(n):
+                        mem.grow(entry)
+            return (spills, budget.reserved_bytes, budget.peak_bytes,
+                    mem.held_bytes)
+
+        assert replay(batched=True) == replay(batched=False)
+
     def test_finish_releases_residency(self):
         class Ctx:
             def note_spill(self, op, nbytes):
