@@ -1,4 +1,6 @@
-"""Physical execution: volcano operators and vectorized kernels."""
+"""Physical execution: volcano operators (:mod:`repro.exec.operators`),
+numpy column-batch kernels (:mod:`repro.exec.batch`) and plan fragments
+(:mod:`repro.exec.fragments`)."""
 
 from repro.exec.operators import PhysicalOp, walk_physical
 

@@ -9,7 +9,10 @@ them, hash joins build and probe with compiled key expressions, sorts run
 stable ``np.lexsort`` passes, and the per-DN fragment path ships
 partial-aggregate states as object batches across exchanges.  Rows
 materialize only at the client boundary (or wherever a row-only operator
-sits above a batched one).
+sits above a batched one).  These kernels are the only column path: a
+row-mode scan over a column store runs the same scan kernel and bridges
+its rows, and a row-mode partial aggregate over a batching child runs the
+same accumulation kernel.
 
 Two invariants keep batch execution *replay-identical* to the row path:
 
@@ -83,10 +86,9 @@ def rows_from_batches(batches: Iterable[Batch]) -> Iterator[tuple]:
     """The batch->row bridge: the only place values unbox.
 
     NULL lanes materialize as ``None`` and numpy scalars unbox to Python
-    values, exactly like ``vector_scan_rows`` — the bridge output is
-    byte-identical to what the row path yields.  Columns unbox in bulk
-    (``ndarray.tolist`` converts at C speed and yields the same Python
-    values per element as ``.item()``).
+    values — the bridge output is byte-identical to what the row path
+    yields.  Columns unbox in bulk (``ndarray.tolist`` converts at C speed
+    and yields the same Python values per element as ``.item()``).
     """
     for batch in batches:
         cols = [_py_values(c) for c in batch.columns]
@@ -419,16 +421,12 @@ def _members(codes: np.ndarray, n_groups: int) -> List[np.ndarray]:
 
 # -- partial aggregation --------------------------------------------------
 
-_STAR = object()
-
-
 def partial_states_from_batches(
         agg, mem=None, entry_bytes: int = 0) -> Optional[Iterator[tuple]]:
     """Batch-native ``PPartialAgg``: group and accumulate over column lanes.
 
-    Only used when the shared vector fast path (``vector_partial_states``)
-    does not apply — there the row path does per-row Python accumulation,
-    and this kernel reproduces that math bit for bit:
+    The row loop does per-row Python accumulation, and this kernel
+    reproduces that math bit for bit:
 
     * sums accumulate with ``sum(values, start)`` — the same left-to-right
       float additions, in the same row order, as ``cell[1] += value``;
@@ -446,13 +444,13 @@ def partial_states_from_batches(
     group_fns = [compile_expr(g) for g in agg.group_exprs]
     if any(fn is None for fn in group_fns):
         return None
-    arg_fns: List[object] = []
+    arg_fns: List[Optional[BatchFn]] = []      # None: COUNT(*)
     for spec in agg.aggs:
         if spec.distinct or spec.func not in ("count", "sum", "avg",
                                               "min", "max"):
             return None
         if spec.arg is None:
-            arg_fns.append(_STAR)
+            arg_fns.append(None)
             continue
         fn = compile_expr(spec.arg)
         if fn is None:
@@ -468,7 +466,7 @@ def _partial_states_iter(agg, group_fns, arg_fns, mem,
     for batch in agg.child.batches():
         if not batch.n:
             continue
-        arg_vecs = [None if fn is _STAR else fn(batch) for fn in arg_fns]
+        arg_vecs = [None if fn is None else fn(batch) for fn in arg_fns]
         if group_fns:
             keys, codes = group_codes([fn(batch) for fn in group_fns],
                                       batch.n)
@@ -753,7 +751,7 @@ def _can_batch(op, ops) -> bool:
         op._batch_left_keys, op._batch_right_keys = left, right
         return True
     if isinstance(op, ops.PPartialAgg):
-        # Reuses its own row/vector aggregation math and ships the state
+        # Reuses its own batch/row aggregation math and ships the state
         # rows as object batches, so exchange serialization is batched.
         return True
     if isinstance(op, (ops.PFragment,)):

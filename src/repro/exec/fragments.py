@@ -9,12 +9,11 @@ make the cut explicit:
   distribution property, Greenplum would say "flow");
 * :class:`ScanBinding` — what the engine hands the planner for one
   ``(table, data node)`` scan target: a row source, and for column-oriented
-  tables a :class:`~repro.storage.colstore.ColumnStore` the vectorized
-  kernels can chew through;
-* predicate compilation from bound expression trees to the
-  :data:`~repro.exec.vectorized.PredicateSpec` form the kernels accept;
-* the vectorized fast paths used by ``PScan`` and ``PPartialAgg`` when a
-  fragment lands on a column-oriented shard.
+  tables a :class:`~repro.storage.colstore.ColumnStore` the batch scan
+  kernel can chew through;
+* the :data:`PredicateSpec` format: predicate compilation from bound
+  expression trees to ANDed ``(column, op, literal)`` specs, and the
+  selection-mask kernel that filters column chunks by them.
 
 The operator classes themselves (``PFragment``, ``PExchange``,
 ``PPartialAgg``/``PFinalAgg``) live in :mod:`repro.exec.operators`.
@@ -25,9 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exec.vectorized import (PredicateSpec, group_bounds, scan_filter,
-                                   selection_mask)
+import numpy as np
+
+from repro.common.errors import ExecutionError
 from repro.optimizer.expr import BoundBinary, BoundColumn, BoundConst, conjuncts
+from repro.storage.colstore import ColumnStore, ColumnVector
 from repro.storage.types import DataType
 
 
@@ -82,16 +83,17 @@ class ScanBinding:
     ``rows`` yields tuples in table-column order.  ``column_store`` is
     present for column-oriented tables scanned on a specific data node: it
     builds that shard's :class:`~repro.storage.colstore.ColumnStore`
-    snapshot on demand.  ``table_schema`` carries nullability and type
-    metadata the vectorized fast paths need.
+    snapshot on demand.
     """
 
     rows: Callable[[], Iterable[tuple]]
     column_store: Optional[Callable[[], object]] = None
-    table_schema: Optional[object] = None
 
 
-# -- predicate compilation ------------------------------------------------
+# -- predicate specs ------------------------------------------------------
+
+#: predicate spec: (column, op, literal); ANDed together.
+PredicateSpec = Tuple[str, str, object]
 
 _MIRROR = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
@@ -118,143 +120,45 @@ def compile_predicates(predicate, schema) -> Optional[List[PredicateSpec]]:
     return specs
 
 
-# -- vectorized fast paths ------------------------------------------------
+_OPS: Dict[str, Callable[[np.ndarray, object], np.ndarray]] = {
+    "=": lambda a, v: a == v,
+    "<>": lambda a, v: a != v,
+    "<": lambda a, v: a < v,
+    "<=": lambda a, v: a <= v,
+    ">": lambda a, v: a > v,
+    ">=": lambda a, v: a >= v,
+}
 
-def _unbox(value):
-    return value.item() if hasattr(value, "item") else value
+
+def selection_mask(chunk: Dict[str, ColumnVector],
+                   predicates: Sequence[PredicateSpec]) -> np.ndarray:
+    """Boolean mask for the rows of ``chunk`` satisfying all predicates."""
+    n = len(next(iter(chunk.values()))) if chunk else 0
+    mask = np.ones(n, dtype=bool)
+    for column, op, literal in predicates:
+        if column not in chunk:
+            raise ExecutionError(f"predicate column {column!r} not scanned")
+        if op not in _OPS:
+            raise ExecutionError(f"unsupported vector op {op!r}")
+        vec = chunk[column]
+        mask &= vec.validity & _OPS[op](vec.data, literal)
+    return mask
 
 
-def vector_scan_rows(scan) -> Iterator[tuple]:
-    """Run a ``PScan`` through the vector kernels, yielding row tuples.
+def scan_filter_vectors(store: ColumnStore, columns: Sequence[str],
+                        predicates: Sequence[PredicateSpec] = ()
+                        ) -> Iterator[Dict[str, ColumnVector]]:
+    """Yield filtered column batches with their validity masks intact.
 
-    Uses :func:`selection_mask` directly (rather than ``scan_filter``) so
-    validity masks survive and NULLs materialize as ``None``, exactly like
-    the row-at-a-time path.
+    Predicates follow SQL three-valued logic: a NULL operand makes the
+    comparison unknown, and unknown rows are filtered (``selection_mask``
+    ANDs the validity mask in) — the row interpreter's semantics.
     """
-    store = scan.vector_store()
-    names = [c.name for c in scan.schema]
-    preds = scan.vector_preds
-    needed = list(dict.fromkeys(names + [p[0] for p in preds]))
+    needed = list(dict.fromkeys(list(columns) + [p[0] for p in predicates]))
     for chunk in store.scan_chunks(needed):
-        mask = selection_mask(chunk, preds)
+        mask = selection_mask(chunk, predicates)
         if not mask.any():
             continue
-        cols = [(chunk[name].data[mask], chunk[name].validity[mask])
-                for name in names]
-        for i in range(int(mask.sum())):
-            yield tuple(
-                _unbox(data[i]) if valid[i] else None for data, valid in cols
-            )
-
-
-def vector_partial_states(agg, mem=None,
-                          entry_bytes: int = 0) -> Optional[Iterator[tuple]]:
-    """Vectorized ``PPartialAgg`` over a column-oriented shard scan.
-
-    Memory-governed queries charge each new group's state to ``mem``
-    (``agg``'s tracker, which spills on the DN the fragment runs on),
-    exactly like the row-at-a-time path; the caller releases it.
-    Applicable when the child is a vector-capable scan, grouping is on at
-    most one plain column, and every referenced column is non-nullable (the
-    ``scan_filter`` kernel drops validity masks, so NULL-bearing columns
-    fall back to the row path).  Returns ``None`` when not applicable.
-    """
-    scan = agg.child
-    store_fn = getattr(scan, "vector_store", None)
-    preds = getattr(scan, "vector_preds", None)
-    tschema = getattr(scan, "table_schema", None)
-    if store_fn is None or preds is None or tschema is None:
-        return None
-    schema = scan.schema
-    group_names: List[str] = []
-    for g in agg.group_exprs:
-        if not isinstance(g, BoundColumn) or not (0 <= g.index < len(schema)):
-            return None
-        group_names.append(schema[g.index].name)
-    if len(group_names) > 1:
-        return None
-    agg_names: List[Optional[str]] = []
-    for spec in agg.aggs:
-        if spec.distinct or spec.func not in ("count", "sum", "avg", "min", "max"):
-            return None
-        if spec.arg is None:
-            agg_names.append(None)
-            continue
-        arg = spec.arg
-        if not isinstance(arg, BoundColumn) or not (0 <= arg.index < len(schema)):
-            return None
-        agg_names.append(schema[arg.index].name)
-    touched = (list(zip(agg_names, agg.aggs))
-               + [(n, None) for n in group_names]
-               + [(p[0], None) for p in preds])
-    for name, spec in touched:
-        if name is None:
-            continue
-        col = tschema.column(name)
-        if col.nullable and name != tschema.primary_key:
-            return None
-        if spec is not None and spec.func != "count" and not col.data_type.is_numeric:
-            return None
-    return _vector_partial_iter(scan, store_fn(), group_names, agg_names,
-                                agg.aggs, preds, mem, entry_bytes)
-
-
-def _vector_partial_iter(scan, store, group_names, agg_names, specs,
-                         preds, mem, entry_bytes: int) -> Iterator[tuple]:
-    import numpy as np
-
-    needed = list(dict.fromkeys(
-        group_names + [n for n in agg_names if n is not None]))
-    if not needed:
-        needed = [scan.table_schema.primary_key]   # COUNT(*)-only: row counts
-    states: Dict[tuple, List[list]] = {}
-    order: List[tuple] = []
-
-    def cells_for(key: tuple) -> List[list]:
-        cells = states.get(key)
-        if cells is None:
-            cells = states[key] = [[0, 0.0, None, None] for _ in specs]
-            order.append(key)
-            if mem is not None:
-                mem.grow(entry_bytes)
-        return cells
-
-    def update(cells: List[list], count: int, values: Dict[str, object]) -> None:
-        for cell, name, spec in zip(cells, agg_names, specs):
-            if name is None:                       # COUNT(*)
-                cell[0] += count
-                continue
-            vals = values[name]
-            cell[0] += int(len(vals))
-            if spec.func in ("sum", "avg"):
-                cell[1] += float(np.sum(vals))
-            elif spec.func == "min":
-                low = _unbox(vals.min())
-                if cell[2] is None or low < cell[2]:
-                    cell[2] = low
-            elif spec.func == "max":
-                high = _unbox(vals.max())
-                if cell[3] is None or high > cell[3]:
-                    cell[3] = high
-
-    rows_in = 0
-    for batch in scan_filter(store, needed, preds):
-        n = int(len(batch[needed[0]]))
-        rows_in += n
-        if group_names:
-            gvals = batch[group_names[0]]
-            uniq, order_idx, bounds = group_bounds(gvals)
-            for i, gv in enumerate(uniq):
-                member = order_idx[bounds[i]:bounds[i + 1]]
-                update(cells_for((_unbox(gv),)), int(len(member)),
-                       {name: batch[name][member] for name in needed})
-        else:
-            update(cells_for(()), n, batch)
-    # The fast path bypasses the scan's own execute(); account its rows
-    # so profiling and learning feedback still see the fragment's scan
-    # volume.
-    scan.actual_rows += rows_in
-    if not order and not group_names:
-        cells_for(())                           # global agg over zero rows
-    for key in order:
-        yield key + tuple(tuple(cell) for cell in states[key])
+        yield {name: ColumnVector(chunk[name].data[mask],
+                                  chunk[name].validity[mask])
+               for name in columns}

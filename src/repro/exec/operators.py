@@ -177,8 +177,8 @@ class PScan(PhysicalOp):
 
     When the engine binds a column store for this scan target (a
     column-oriented table's shard) *and* the predicate compiled to vector
-    specs, execution runs through the vectorized kernels
-    (:mod:`repro.exec.vectorized`) instead of row-at-a-time evaluation.
+    specs, even row-mode execution runs the batch scan kernel
+    (:meth:`execute_batches`) and hands its rows out one at a time.
 
     A coordinator-side scan of a distributed table is not free: every raw
     tuple crosses the network from ``remote_sources`` shards before the
@@ -193,14 +193,13 @@ class PScan(PhysicalOp):
                  estimated_rows: float = 0.0, step_text: Optional[str] = None,
                  vector_store: Optional[Callable[[], object]] = None,
                  vector_preds: Optional[List[Tuple[str, str, object]]] = None,
-                 table_schema=None, remote_sources: int = 0, cost_model=None):
+                 remote_sources: int = 0, cost_model=None):
         super().__init__(schema, estimated_rows, step_text)
         self.table = table
         self.source = source
         self.predicate = predicate
         self.vector_store = vector_store
         self.vector_preds = vector_preds
-        self.table_schema = table_schema
         #: Shards drained over the wire (0 = the scan is node-local).
         self.remote_sources = remote_sources
         self.cost_model = cost_model
@@ -226,9 +225,11 @@ class PScan(PhysicalOp):
         if self.batch_mode:
             return self._bridge_rows()
         if self.vector_store is not None and self.vector_preds is not None:
-            from repro.exec.fragments import vector_scan_rows
+            # Row mode over a column store (under a LIMIT, or with batching
+            # off): the batch kernel, counted per row the consumer pulls.
+            from repro.exec.batch import rows_from_batches
 
-            return self._count(vector_scan_rows(self))
+            return self._count(rows_from_batches(self.execute_batches()))
         rows = self._drain()
         if self.predicate is not None:
             predicate = self.predicate
@@ -244,7 +245,7 @@ class PScan(PhysicalOp):
         activation pass).
         """
         from repro.exec.batch import Batch, truth_mask
-        from repro.exec.vectorized import scan_filter_vectors
+        from repro.exec.fragments import scan_filter_vectors
 
         store = self.vector_store()
         names = [c.name for c in self.schema]
@@ -479,56 +480,6 @@ class PNestedLoopJoin(PhysicalOp):
         return f"NestLoopJoin {self.kind}{cond}"
 
 
-class _Accumulator:
-    """State for one aggregate function over one group."""
-
-    __slots__ = ("func", "count", "total", "minimum", "maximum", "distinct_set")
-
-    def __init__(self, func: str, distinct: bool):
-        self.func = func
-        self.count = 0
-        self.total = 0.0
-        self.minimum = None
-        self.maximum = None
-        self.distinct_set = set() if distinct else None
-
-    def add(self, value: object) -> None:
-        if self.func == "count" and value is _STAR:
-            self.count += 1
-            return
-        if value is None:
-            return
-        if self.distinct_set is not None:
-            if value in self.distinct_set:
-                return
-            self.distinct_set.add(value)
-        self.count += 1
-        if self.func in ("sum", "avg"):
-            self.total += value
-        elif self.func == "min":
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-        elif self.func == "max":
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
-
-    def result(self) -> object:
-        if self.func == "count":
-            return self.count
-        if self.func == "sum":
-            return self.total if self.count else None
-        if self.func == "avg":
-            return self.total / self.count if self.count else None
-        if self.func == "min":
-            return self.minimum
-        if self.func == "max":
-            return self.maximum
-        raise ExecutionError(f"unknown aggregate {self.func!r}")
-
-
-_STAR = object()
-
-
 class PHashAggregate(PhysicalOp):
     def __init__(self, child: PhysicalOp, group_exprs: List[BoundExpr],
                  aggs: List[AggSpec], schema: Schema,
@@ -545,25 +496,9 @@ class PHashAggregate(PhysicalOp):
         return self._count(_holding(self, self._aggregate))
 
     def _aggregate(self, mem, entry_bytes: int) -> Iterator[tuple]:
-        groups: Dict[tuple, List[_Accumulator]] = {}
-        for row in self.child.execute():
-            key = tuple(g.eval(row) for g in self.group_exprs)
-            accs = groups.get(key)
-            if accs is None:
-                accs = [_Accumulator(a.func, a.distinct) for a in self.aggs]
-                groups[key] = accs
-                if mem is not None:
-                    mem.grow(entry_bytes)
-            for spec, acc in zip(self.aggs, accs):
-                value = _STAR if spec.arg is None else spec.arg.eval(row)
-                acc.add(value)
-        if not groups and not self.group_exprs:
-            # Global aggregate over zero rows still yields one row.
-            accs = [_Accumulator(a.func, a.distinct) for a in self.aggs]
-            yield tuple(acc.result() for acc in accs)
-            return
-        for key, accs in groups.items():
-            yield key + tuple(acc.result() for acc in accs)
+        for key, cells in _group_states(self, mem, entry_bytes).items():
+            yield key + tuple(_finalize_state(c, s.func)
+                              for c, s in zip(cells, self.aggs))
 
     def describe(self) -> str:
         return ("HashAggregate group=["
@@ -638,7 +573,7 @@ def _sort_key(value: object, descending: bool):
     if value is None:
         # (1, ...) sorts after every (0, ...): NULLs last when ascending;
         # with reverse=True this puts them first, matching DESC NULLS FIRST.
-        return (1, 0) if not descending else (1, 0)
+        return (1, 0)
     return (0, value)
 
 
@@ -745,7 +680,7 @@ class PExchange(PhysicalOp):
         self.child = children[0]
         self.cost_model = cost_model
         #: One-way hop latency this exchange's sender streams cross; see
-        #: ``PSeqScan.hop_us`` (``None`` = LAN, the single-region default).
+        #: ``PScan.hop_us`` (``None`` = LAN, the single-region default).
         self.hop_us: Optional[float] = None
 
     def children(self) -> Sequence[PhysicalOp]:
@@ -827,12 +762,29 @@ class PFragment(PhysicalOp):
         return f"Fragment dn{self.dn_index}"
 
 
+#: Argument sentinel for COUNT(*): counts every row, NULLs included.
+_STAR = object()
+
+
+def _new_cell(spec: AggSpec) -> List[object]:
+    """Fresh aggregate state ``[count, total, minimum, maximum]``; a
+    DISTINCT aggregate carries the set of values it has counted as a fifth
+    element."""
+    if spec.distinct:
+        return [0, 0.0, None, None, set()]
+    return [0, 0.0, None, None]
+
+
 def _partial_add(cell: List[object], func: str, value: object) -> None:
     if value is _STAR:
         cell[0] += 1
         return
     if value is None:
         return
+    if len(cell) > 4:
+        if value in cell[4]:
+            return
+        cell[4].add(value)
     cell[0] += 1
     if func in ("sum", "avg"):
         cell[1] += value
@@ -854,8 +806,32 @@ def _merge_state(cell: List[object], state: tuple) -> None:
         cell[3] = maximum
 
 
+def _group_states(agg, mem, entry_bytes: int) -> Dict[tuple, List[list]]:
+    """The row loop of hash and partial aggregation: group key -> one state
+    cell per aggregate, groups in first-seen order.
+
+    Each new group is charged to ``mem``.  A global aggregate over zero
+    rows still gets its one (empty, uncharged) group.
+    """
+    groups: Dict[tuple, List[list]] = {}
+    aggs = agg.aggs
+    for row in agg.child.execute():
+        key = tuple(g.eval(row) for g in agg.group_exprs)
+        cells = groups.get(key)
+        if cells is None:
+            cells = groups[key] = [_new_cell(spec) for spec in aggs]
+            if mem is not None:
+                mem.grow(entry_bytes)
+        for spec, cell in zip(aggs, cells):
+            value = _STAR if spec.arg is None else spec.arg.eval(row)
+            _partial_add(cell, spec.func, value)
+    if not groups and not agg.group_exprs:
+        groups[()] = [_new_cell(spec) for spec in aggs]
+    return groups
+
+
 def _finalize_state(cell: List[object], func: str) -> object:
-    count, total, minimum, maximum = cell
+    count, total, minimum, maximum = cell[:4]
     if func == "count":
         return count
     if func == "sum":
@@ -907,40 +883,20 @@ class PPartialAgg(PhysicalOp):
     def _states(self, mem, entry_bytes: int) -> Iterator[tuple]:
         """Partial state rows, with bit-identical math on every path.
 
-        The shared vector fast path is tried first (the row path would use
-        it too); otherwise the batch-native kernel accumulates over a
-        batching child's column lanes with the row path's exact
-        arithmetic; only then does the row loop run.
+        The batch kernel accumulates over a batching child's column lanes
+        with the row loop's exact arithmetic; otherwise the row loop runs.
+        A global aggregate ships one (possibly empty) state row per node,
+        so the final aggregate sees every node even over zero rows.
         """
         from repro.exec.batch import partial_states_from_batches
-        from repro.exec.fragments import vector_partial_states
 
-        states = vector_partial_states(self, mem, entry_bytes)
-        if states is None:
-            states = partial_states_from_batches(self, mem, entry_bytes)
+        states = partial_states_from_batches(self, mem, entry_bytes)
         if states is None:
             states = self._row_states(mem, entry_bytes)
         return states
 
     def _row_states(self, mem, entry_bytes: int) -> Iterator[tuple]:
-        groups: Dict[tuple, List[List[object]]] = {}
-        for row in self.child.execute():
-            key = tuple(g.eval(row) for g in self.group_exprs)
-            cells = groups.get(key)
-            if cells is None:
-                cells = groups[key] = [[0, 0.0, None, None]
-                                       for _ in self.aggs]
-                if mem is not None:
-                    mem.grow(entry_bytes)
-            for spec, cell in zip(self.aggs, cells):
-                value = _STAR if spec.arg is None else spec.arg.eval(row)
-                _partial_add(cell, spec.func, value)
-        if not groups and not self.group_exprs:
-            # A global aggregate ships one (empty) state row per node, so
-            # the final aggregate sees every node even over zero rows.
-            yield tuple((0, 0.0, None, None) for _ in self.aggs)
-            return
-        for key, cells in groups.items():
+        for key, cells in _group_states(self, mem, entry_bytes).items():
             yield key + tuple(tuple(cell) for cell in cells)
 
     def describe(self) -> str:

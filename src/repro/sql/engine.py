@@ -393,7 +393,7 @@ class SqlEngine:
 
             # A plan fragment's scan: only this data node's slice.  Column-
             # oriented tables additionally expose a column-store snapshot so
-            # the scan can run the vectorized kernels.
+            # the scan can run the batch scan kernel.
             def rows() -> Iterable[tuple]:
                 for _, values in current_txn().scan_shard(schema.name, dn_index):
                     yield tuple(values.get(name) for name in order)
@@ -403,8 +403,7 @@ class SqlEngine:
                 def column_store(table=schema.name, dn=dn_index):
                     return current_txn().shard_column_store(table, dn)
 
-            return ScanBinding(rows, column_store=column_store,
-                               table_schema=schema)
+            return ScanBinding(rows, column_store=column_store)
 
         def table_function_rows(name: str, args: Tuple[object, ...]):
             impl = self.table_functions.get(name)

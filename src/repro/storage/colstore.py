@@ -1,7 +1,8 @@
 """Columnar store with numpy-backed chunks.
 
 The analytic side of FI-MPPDB: append-only column chunks that the vectorized
-execution engine (:mod:`repro.exec.vectorized`) scans with SIMD-style numpy
+execution engine (``PScan.execute_batches`` over
+:func:`repro.exec.fragments.scan_filter_vectors`) scans with SIMD-style numpy
 kernels.  Chunks are optionally compressed at seal time and decompressed
 lazily on access.
 

@@ -2,12 +2,12 @@
 
 Covers the two bugfix satellites directly:
 
-* the many-groups regression — ``group_aggregate`` must bucket groups with
-  one ``np.unique(..., return_inverse=True)`` pass instead of re-scanning
-  the chunk per group (the old path was O(groups x rows));
-* NULL semantics — the vectorized/batch kernels and the row executor must
-  agree on SQL three-valued logic; the parametrized suite runs the same
-  query through both executors and requires identical rows.
+* the many-groups regression — the partial-aggregate batch kernel must
+  bucket groups with one ``np.unique(..., return_inverse=True)`` pass
+  instead of re-scanning the chunk per group (O(groups x rows));
+* NULL semantics — the batch kernels and the row executor must agree on
+  SQL three-valued logic; the parametrized suite runs the same query
+  through both executors and requires identical rows.
 """
 
 import time
@@ -18,13 +18,17 @@ import pytest
 from repro.cluster.mpp import MppCluster
 from repro.exec.batch import (
     Batch,
+    _members,
     batches_from_rows,
     concat_batches,
+    enable_batches,
+    group_codes,
     rows_from_batches,
     sort_indices,
 )
-from repro.exec.operators import walk_physical
-from repro.exec.vectorized import group_aggregate, group_bounds, row_aggregate
+from repro.exec.operators import PPartialAgg, PScan, walk_physical
+from repro.optimizer.expr import BoundColumn
+from repro.optimizer.logical import AggSpec, ColumnInfo
 from repro.sql.engine import SqlEngine
 from repro.storage.colstore import ColumnStore, ColumnVector
 from repro.storage.table import Column, TableSchema
@@ -45,39 +49,52 @@ class TestManyGroups:
         ])
         return cs
 
+    def _group_states(self, cs: ColumnStore, func: str) -> dict:
+        """``select g, func(v) from m group by g`` as one batched partial
+        aggregate over the store: group -> (count, total, min, max)."""
+        schema = [ColumnInfo(c.name, "m", c.data_type)
+                  for c in cs.schema.columns]
+        scan = PScan("m", lambda: iter(()), schema,
+                     vector_store=lambda: cs, vector_preds=[])
+        agg = PPartialAgg(
+            scan, [BoundColumn(1, "m.g", DataType.INT)],
+            [AggSpec(func, BoundColumn(2, "m.v", DataType.DOUBLE))],
+            [schema[1], ColumnInfo("state", None)])
+        enable_batches(agg)
+        assert agg.batch_mode and scan.batch_mode
+        return {g: state for g, state in agg.execute()}
+
     def test_many_groups_matches_row_path(self):
         cs = self._store(rows=5000, groups=701)
-        vector = group_aggregate(cs, "g", "v", "sum")
+        states = self._group_states(cs, "sum")
         # row-at-a-time reference, computed directly
         expected = {}
         for row in cs.scan_rows():
             g, v = row["g"], row["v"]
             expected[g] = expected.get(g, 0.0) + v
-        assert set(vector) == set(expected)
-        for key in expected:
-            assert vector[key] == pytest.approx(expected[key])
+        assert {g: state[1] for g, state in states.items()} == expected
 
     def test_many_groups_is_not_quadratic(self):
-        # 200k rows x 20k groups: the old per-group boolean-mask rescan
-        # performs ~4e9 element comparisons (tens of seconds); the bucketed
-        # path is one argsort.  A generous wall-clock ceiling catches the
+        # 200k rows x 20k groups: a per-group boolean-mask rescan performs
+        # ~4e9 element comparisons (tens of seconds); the bucketed path is
+        # one argsort per chunk.  A generous wall-clock ceiling catches the
         # regression without being timing-flaky.
         cs = self._store(rows=200_000, groups=20_000)
         start = time.perf_counter()
-        result = group_aggregate(cs, "g", "v", "count")
+        result = self._group_states(cs, "count")
         elapsed = time.perf_counter() - start
         assert len(result) == 20_000
-        assert sum(result.values()) == 200_000
-        assert elapsed < 5.0, f"group_aggregate took {elapsed:.1f}s"
+        assert sum(state[0] for state in result.values()) == 200_000
+        assert elapsed < 5.0, f"partial aggregate took {elapsed:.1f}s"
 
-    def test_group_bounds_partitions_exactly(self):
+    def test_group_codes_partitions_exactly(self):
         keys = np.array([3, 1, 3, 2, 1, 1, 3], dtype=np.int64)
-        uniq, order, bounds = group_bounds(keys)
-        assert uniq.tolist() == [1, 2, 3]
+        vec = ColumnVector(keys, np.ones(len(keys), dtype=bool))
+        uniq, codes = group_codes([vec], len(keys))
+        assert uniq == [(3,), (1,), (2,)]          # first-seen order
         seen = []
-        for i in range(len(uniq)):
-            member = order[bounds[i]:bounds[i + 1]]
-            assert (keys[member] == uniq[i]).all()
+        for code, member in enumerate(_members(codes, len(uniq))):
+            assert (keys[member] == uniq[code][0]).all()
             # members come back in ascending row order (stable argsort)
             assert member.tolist() == sorted(member.tolist())
             seen.extend(member.tolist())
@@ -153,18 +170,28 @@ class TestNullSemanticsSharedByBothPaths:
             sql = f"select id, v from t order by v {direction}, id"
             assert batch.execute(sql).rows == row.execute(sql).rows
 
-    def test_row_aggregate_skips_null_like_vector(self):
-        schema = TableSchema("n", [Column("id", DataType.INT),
-                                   Column("v", DataType.DOUBLE)], "id")
-        cs = ColumnStore(schema, chunk_rows=8)
-        cs.append_rows([{"id": 1, "v": None}, {"id": 2, "v": 4.0},
-                        {"id": 3, "v": None}, {"id": 4, "v": 6.0}])
-        from repro.exec.vectorized import aggregate
-        preds = [("v", ">=", 0.0)]
-        assert aggregate(cs, "v", "count", preds) == \
-            row_aggregate(cs.scan_rows(), "v", "count", preds)
-        assert aggregate(cs, "v", "sum", preds) == \
-            row_aggregate(cs.scan_rows(), "v", "sum", preds)
+    def test_aggregates_skip_nulls(self, engines):
+        # NULL inputs are skipped by count/sum/avg/min/max, NULL group keys
+        # form one group, and COUNT(*) still counts every row.
+        batch, row = engines
+        sql = ("select g, count(*), count(v), sum(v), avg(v), min(v), "
+               "max(v) from t where id < 30 group by g")
+        rows = batch.execute(sql).rows
+        assert rows == row.execute(sql).rows
+        expected = {}
+        for i in range(30):
+            g = None if i % 7 == 0 else "abc"[i % 3]
+            v = None if i % 5 == 0 else i * 2
+            expected.setdefault(g, [0, []])
+            expected[g][0] += 1
+            if v is not None:
+                expected[g][1].append(v)
+        assert {r[0] for r in rows} == set(expected) and None in expected
+        for g, n, count_v, sum_v, avg_v, min_v, max_v in rows:
+            total, vals = expected[g]
+            assert (n, count_v, sum_v, min_v, max_v) == (
+                total, len(vals), float(sum(vals)), min(vals), max(vals))
+            assert avg_v == sum(vals) / len(vals)
 
 
 # -- batch bridges and kernels ---------------------------------------------

@@ -7,8 +7,11 @@ exchange, and report a simulated elapsed time of max-across-DNs fragment
 time plus the exchange's network cost.
 """
 
+import random
+
 import pytest
 
+import repro.exec.batch as batch_mod
 import repro.exec.fragments as fragments_mod
 from repro.cluster import MppCluster
 from repro.exec.operators import (
@@ -120,17 +123,32 @@ class TestAcceptance:
 
 class TestVectorizedPath:
     def test_partial_agg_uses_vector_kernels(self, engine, monkeypatch):
-        calls = []
-        real = fragments_mod.scan_filter
+        # Each DN fragment's partial aggregate runs the batch kernel over
+        # exactly one column-store scan of its shard.
+        kernels, scans = [], []
+        real_kernel = batch_mod.partial_states_from_batches
+        real_scan = fragments_mod.scan_filter_vectors
 
-        def spy(store, columns, predicates, obs=None):
-            calls.append(columns)
-            return real(store, columns, predicates, obs=obs)
+        def kernel_spy(agg, mem=None, entry_bytes=0):
+            states = real_kernel(agg, mem, entry_bytes)
+            kernels.append((agg, states))
+            return states
 
-        monkeypatch.setattr(fragments_mod, "scan_filter", spy)
+        def scan_spy(store, columns, predicates=()):
+            scans.append(columns)
+            return real_scan(store, columns, predicates)
+
+        monkeypatch.setattr(batch_mod, "partial_states_from_batches",
+                            kernel_spy)
+        monkeypatch.setattr(fragments_mod, "scan_filter_vectors", scan_spy)
         result = engine.execute(AGG_SQL)
         assert sorted(result.rows) == expected_groups()
-        assert len(calls) == NUM_DNS, "one vectorized scan per fragment"
+        assert len(kernels) == NUM_DNS, "one partial aggregate per fragment"
+        for agg, states in kernels:
+            assert isinstance(agg, PPartialAgg)
+            assert states is not None, "batch kernel, not the row loop"
+            assert isinstance(agg.child, PScan) and agg.child.batch_mode
+        assert len(scans) == NUM_DNS, "one column-store scan per fragment"
 
     def test_row_oriented_table_matches(self):
         row_eng = build_engine(orientation="row")
@@ -213,3 +231,32 @@ class TestFragmentIsolation:
         for row in result.rows:
             assert len(row) == 3
             assert not any(isinstance(v, tuple) for v in row)
+
+
+class TestFloatSumsMatchAcrossOrientations:
+    """Row- and column-oriented copies of a table give bit-identical float
+    aggregates: every path adds left to right in row order."""
+
+    ROWS = 3000
+
+    def _engine(self, orientation: str, batch_enabled: bool) -> SqlEngine:
+        rng = random.Random(20261017)
+        eng = SqlEngine(MppCluster(num_dns=2), batch_enabled=batch_enabled)
+        eng.execute(
+            "create table s (id int primary key, grp int not null, "
+            "val double not null) distribute by hash(id) "
+            f"with (orientation = {orientation})")
+        eng.execute("insert into s values " + ",".join(
+            f"({i}, {i % 7}, {round(rng.uniform(0, 1000), 2)})"
+            for i in range(self.ROWS)))
+        return eng
+
+    @pytest.mark.parametrize("batch_enabled", [True, False])
+    @pytest.mark.parametrize("sql", [
+        "select grp, sum(val), avg(val) from s group by grp order by grp",
+        "select sum(val), avg(val) from s",
+    ])
+    def test_sum_avg_bit_identical(self, sql, batch_enabled):
+        row = self._engine("row", batch_enabled).execute(sql).rows
+        col = self._engine("column", batch_enabled).execute(sql).rows
+        assert row and col == row          # ==, not approx

@@ -175,3 +175,71 @@ class TestAggregateSortLimit:
     def test_pretty_includes_estimates(self):
         op = PLimit(values([(1,)], "a"), 1, estimated_rows=42)
         assert "est=42" in op.pretty()
+
+
+# -- DISTINCT aggregates through SQL, checked against sqlite3 ---------------
+
+DISTINCT_ROWS = [
+    # (id, g, x, y): duplicates within and across groups, NULL values, a
+    # group whose x is all NULL, and a NULL group key
+    (i, [None, "a", "b", "c"][i % 4] if i % 9 else "n",
+     None if i % 5 == 0 or i % 9 == 0 else i % 6,
+     None if i % 7 == 0 else (i % 4) * 0.5)
+    for i in range(80)
+]
+
+DISTINCT_QUERIES = [
+    "select count(distinct x), sum(distinct x), avg(distinct x) from d",
+    "select count(distinct y), sum(distinct y), avg(distinct y), "
+    "count(*), count(x), sum(x) from d",
+    "select g, count(distinct x), sum(distinct x), avg(distinct x) "
+    "from d group by g",
+    "select g, count(distinct y), sum(distinct y), avg(distinct y), "
+    "sum(y), count(*) from d where id > 10 group by g",
+    "select count(distinct x), sum(distinct x), avg(distinct x) "
+    "from d where id < 0",
+]
+
+
+def _sort_rows(rows):
+    return sorted(rows, key=lambda r: [(v is None, v if v is not None else 0)
+                                       for v in r])
+
+
+@pytest.fixture(scope="module")
+def sqlite_distinct():
+    import sqlite3
+
+    conn = sqlite3.connect(":memory:")
+    conn.execute("create table d (id int primary key, g text, x int, "
+                 "y double)")
+    conn.executemany("insert into d values (?, ?, ?, ?)", DISTINCT_ROWS)
+    yield conn
+    conn.close()
+
+
+def _distinct_engine(orientation, batch_enabled):
+    from repro.cluster.mpp import MppCluster
+    from repro.sql.engine import SqlEngine
+
+    def lit(v):
+        return "null" if v is None else repr(v)
+
+    engine = SqlEngine(MppCluster(num_dns=2), batch_enabled=batch_enabled)
+    engine.execute("create table d (id int primary key, g text, x int, "
+                   f"y double) with (orientation = {orientation})")
+    engine.execute("insert into d values " + ", ".join(
+        "(" + ", ".join(lit(v) for v in row) + ")" for row in DISTINCT_ROWS))
+    return engine
+
+
+class TestDistinctAggregatesMatchSqlite:
+    @pytest.mark.parametrize("orientation", ["column", "row"])
+    @pytest.mark.parametrize("batch_enabled", [True, False])
+    def test_against_sqlite(self, sqlite_distinct, orientation,
+                            batch_enabled):
+        engine = _distinct_engine(orientation, batch_enabled)
+        for sql in DISTINCT_QUERIES:
+            got = _sort_rows(engine.execute(sql).rows)
+            want = _sort_rows(sqlite_distinct.execute(sql).fetchall())
+            assert got == want, sql
