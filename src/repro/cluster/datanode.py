@@ -272,17 +272,8 @@ class DataNode:
         node; frozen HTAP chunks may still contain them, so composing is
         not sound here.  Steady state always passes ``None``.
         """
-        if row_filter is not None:
-            from repro.storage.colstore import ColumnStore
-
-            store = ColumnStore(self._schemas[table], compress=False)
-            store.append_rows(values
-                              for _key, values in self.scan(table, snapshot, xid)
-                              if row_filter(values))
-            store.flush()
-            return store
         state = self.htap
-        if state is not None and table in state.tables:
+        if row_filter is None and state is not None and table in state.tables:
             store = state.tables[table].compose(self, snapshot, xid)
             if store is not None:
                 # Telemetry parity with the heap walk: one scan statement,
@@ -293,8 +284,10 @@ class DataNode:
             self._note("htap.cold_rebuilds")
         from repro.storage.colstore import ColumnStore
 
+        rows = (values for _key, values in self.scan(table, snapshot, xid))
         store = ColumnStore(self._schemas[table], compress=False)
-        store.append_rows(values for _key, values in self.scan(table, snapshot, xid))
+        store.append_rows(rows if row_filter is None
+                          else filter(row_filter, rows))
         store.flush()
         return store
 

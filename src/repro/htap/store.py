@@ -1,22 +1,31 @@
-"""Per-table dual-format state: frozen column chunks + delta composition.
+"""Per-table dual-format state: frozen column vectors + delta composition.
 
 A :class:`HtapTableStore` is one table's HTAP state on one data node:
 
-* ``frozen`` — a :class:`FrozenChunkSet`: a persistent
-  :class:`~repro.storage.colstore.ColumnStore` built by the last merge,
-  plus the merge-time snapshot (the *merged-past-xid watermark*) and the
-  per-row keys/arrival stamps needed to patch it;
+* ``frozen`` — a :class:`FrozenChunkSet`: the merged rows as one typed
+  numpy data/validity vector per column plus an int64 arrival-stamp array,
+  all in stamp order; the compressed
+  :class:`~repro.storage.colstore.ColumnStore` whose sealed chunks use
+  slices of those vectors as their decoded image; the merge-time snapshot
+  (the *merged-past-xid watermark*) and the per-key positions needed to
+  patch it;
 * ``delta`` — the committed writes that arrived since that merge.
 
-Analytic reads call :meth:`HtapTableStore.compose`:
+:func:`splice` is the one place delta entries meet the frozen image: it
+takes the last entry per key, rewrites a same-stamp row in place, drops
+deleted rows by mask, adds new (or re-created) keys and restores stamp
+order with a stable argsort — all in column space, with no row coercion.
 
-* when the query's snapshot sees no delta entry, the frozen store is
-  served **as is** — zero rebuild, the whole point of the subsystem;
-* otherwise frozen rows are patched/extended with the visible delta
-  entries, re-sorted by heap arrival stamp, and materialized into a fresh
-  uncompressed store with the default chunking — exactly the store the
-  legacy heap walk would have produced, so query results (including
-  chunk-boundary-sensitive float aggregation) stay byte-identical;
+* :meth:`HtapTableStore.merge` splices the committed delta prefix and
+  seals the result compressed (the seed merge splices a heap scan into an
+  empty image);
+* :meth:`HtapTableStore.compose` serves analytic reads: when the query's
+  snapshot sees no delta entry, the frozen store is served **as is** —
+  zero rebuild, the whole point of the subsystem; otherwise it splices the
+  visible entries and wraps the vectors in an uncompressed store with the
+  default chunking — exactly the store the legacy heap walk would have
+  produced, so query results (including chunk-boundary-sensitive float
+  aggregation) stay byte-identical;
 * when the snapshot cannot be served soundly (classical mode, UPGRADE-d
   merged snapshots, readers with their own uncommitted writes, snapshots
   older than the watermark), ``compose`` returns ``None`` and the caller
@@ -31,39 +40,120 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.common.errors import InvalidTransactionState
-from repro.htap.delta import DeltaEntry, DeltaStore
-from repro.storage.colstore import ColumnStore
+from repro.htap.delta import DeltaStore
+from repro.storage.colstore import ColumnStore, ColumnVector
 from repro.storage.table import TableSchema
 from repro.txn.snapshot import Snapshot
 from repro.txn.xid import INVALID_XID
 
+#: ``(stamp, values)`` of a key's last write; ``values`` is ``None`` for a
+#: delete.
+Write = Tuple[int, Optional[Dict[str, object]]]
+
 
 class FrozenChunkSet:
-    """The output of one merge: column chunks plus patching metadata."""
+    """The output of one merge: typed vectors, their store, patching keys."""
 
-    def __init__(self, store: ColumnStore, keys: List[object],
-                 stamps: List[int], rows: List[Dict[str, object]],
+    def __init__(self, schema: TableSchema, keys: np.ndarray,
+                 stamps: np.ndarray, vectors: Dict[str, ColumnVector],
                  snapshot: Snapshot, merged_seq: int):
-        self.store = store
+        #: Primary keys (object array) and arrival stamps (int64), in the
+        #: stamp order every column vector shares.
         self.keys = keys
         self.stamps = stamps
-        #: Row dicts in store order — the merge/compose working copy, kept
-        #: so neither path re-decodes (or round-trips values through) the
-        #: encoded chunks.
-        self.rows = rows
+        self.vectors = vectors
+        self.store = ColumnStore.from_vectors(schema, vectors, compress=True)
         #: The merge-time snapshot: the watermark every served query
         #: snapshot must dominate.
         self.snapshot = snapshot
         #: First delta ``seq`` *not* folded into this chunk set.
         self.merged_seq = merged_seq
         self.pos_by_key: Dict[object, int] = {
-            key: i for i, key in enumerate(keys)
+            key: i for i, key in enumerate(keys.tolist())
         }
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self.stamps)
+
+
+def splice(schema: TableSchema, frozen: Optional[FrozenChunkSet],
+           finals: Dict[object, Write]
+           ) -> Tuple[np.ndarray, np.ndarray, Dict[str, ColumnVector]]:
+    """The frozen image (empty when ``None``) with ``finals`` applied.
+
+    ``finals`` maps each written key to its last write.  A key absent
+    from the image is added unless that write deletes it; a delete drops
+    the key's row; a write with the row's own stamp rewrites it in place;
+    any other stamp means the key's chain was dropped (vacuum) and
+    re-created at a new heap position, so the old row goes and a new one
+    is added.  Added rows are ordered among the kept ones by a stable
+    argsort on stamps — the heap's scan order.  Returns read-only
+    ``(keys, stamps, vectors)``.
+    """
+    if frozen is None:
+        old_keys = np.empty(0, dtype=object)
+        old_stamps = np.empty(0, dtype=np.int64)
+        old_vectors = {col.name: ColumnVector.from_values([], col.data_type)
+                       for col in schema.columns}
+        pos_by_key: Dict[object, int] = {}
+    else:
+        old_keys, old_stamps = frozen.keys, frozen.stamps
+        old_vectors, pos_by_key = frozen.vectors, frozen.pos_by_key
+    keep = np.ones(len(old_stamps), dtype=bool)
+    patch_pos: List[int] = []
+    patched: List[Tuple[object, int, Dict[str, object]]] = []
+    added: List[Tuple[object, int, Dict[str, object]]] = []
+    for key, (stamp, values) in finals.items():
+        pos = pos_by_key.get(key)
+        if pos is not None:
+            if values is not None and stamp == old_stamps[pos]:
+                patch_pos.append(pos)
+                patched.append((key, stamp, values))
+                continue
+            keep[pos] = False
+        if values is not None:
+            added.append((key, stamp, values))
+    writes = patched + added
+    n_patched = len(patched)
+    patch_at = np.array(patch_pos, dtype=np.intp)
+    kept = None
+    if not keep.all():
+        kept = np.flatnonzero(keep)
+        patch_at = np.searchsorted(kept, patch_at)
+
+    def place(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+        out = np.concatenate([old if kept is None else old[kept],
+                              new[n_patched:]])
+        out[patch_at] = new[:n_patched]
+        return out
+
+    new_stamps = place(old_stamps, np.array(
+        [stamp for _key, stamp, _values in writes], dtype=np.int64))
+    order = np.argsort(new_stamps, kind="stable") if added else None
+
+    def seal(out: np.ndarray) -> np.ndarray:
+        if order is not None:
+            out = out[order]
+        out.flags.writeable = False
+        return out
+
+    vectors = {}
+    for col in schema.columns:
+        old = old_vectors[col.name]
+        new = ColumnVector.from_values(
+            [values[col.name] for _key, _stamp, values in writes],
+            col.data_type)
+        vectors[col.name] = ColumnVector(
+            seal(place(old.data, new.data)),
+            seal(place(old.validity, new.validity)))
+    new_keys = place(old_keys, np.fromiter(
+        (key for key, _stamp, _values in writes), dtype=object,
+        count=len(writes)))
+    return seal(new_keys), seal(new_stamps), vectors
 
 
 class HtapTableStore:
@@ -101,50 +191,30 @@ class HtapTableStore:
             return None
         merged_seq = self.delta.next_seq
         snapshot = dn.ltm.local_snapshot()
+        entries = self.delta.entries[:cutoff]
         if self.frozen is None:
-            # Seed merge: build from a full heap scan (table registration,
-            # or re-attachment after failover rebuilt the node).  The heap
-            # already reflects every committed delta entry.
+            # Seed merge: splice a full heap scan into an empty image
+            # (table registration, or re-attachment after failover rebuilt
+            # the node).  The heap already reflects every committed delta
+            # entry.
             heap = dn.heap(self.schema.name)
-            items = sorted(
-                ((heap.stamp_of(key), key, values)
-                 for key, values in heap.scan(snapshot, dn.ltm.clog)),
-                key=lambda item: item[0])
-            rows_read = len(items)
+            finals = {key: (heap.stamp_of(key), values)
+                      for key, values in heap.scan(snapshot, dn.ltm.clog)}
+            rows_read = len(finals)
         else:
-            by_key: Dict[object, Tuple[int, Dict[str, object]]] = {}
-            for stamp, key, values in zip(self.frozen.stamps,
-                                          self.frozen.keys,
-                                          self.frozen.rows):
-                by_key[key] = (stamp, values)
-            for entry in self.delta.entries[:cutoff]:
-                if entry.op == "delete":
-                    by_key.pop(entry.key, None)
-                else:
-                    by_key[entry.key] = (entry.stamp, entry.values)
-            items = sorted(
-                ((stamp, key, values)
-                 for key, (stamp, values) in by_key.items()),
-                key=lambda item: item[0])
+            finals = {entry.key: (entry.stamp, entry.values)
+                      for entry in entries}
             rows_read = self.frozen.row_count + cutoff
-        for entry in self.delta.entries[:cutoff]:
+        for entry in entries:
             self.max_lag_us = max(self.max_lag_us,
                                   now_us - entry.commit_t_us)
-        store = ColumnStore(self.schema, compress=True)
-        store.append_rows(values for _stamp, _key, values in items)
-        store.flush()
-        self.frozen = FrozenChunkSet(
-            store,
-            keys=[key for _stamp, key, _values in items],
-            stamps=[stamp for stamp, _key, _values in items],
-            rows=[values for _stamp, _key, values in items],
-            snapshot=snapshot,
-            merged_seq=merged_seq,
-        )
+        keys, stamps, vectors = splice(self.schema, self.frozen, finals)
+        self.frozen = FrozenChunkSet(self.schema, keys, stamps, vectors,
+                                     snapshot, merged_seq)
         self.delta.truncate(cutoff)
         self.merges += 1
         self.last_merge_us = now_us
-        return rows_read, len(items), cutoff
+        return rows_read, len(stamps), cutoff
 
     # -- read path ---------------------------------------------------------
 
@@ -158,50 +228,23 @@ class HtapTableStore:
         if reason is not None:
             dn._note(f"htap.fallback.{reason}")
             return None
-        frozen = self.frozen
         clog = dn.ltm.clog
         # Last *visible* entry per key wins.  Sound because same-key
         # commits are serialized (first-updater-wins) and GTM-lite's
         # dependency taint hides dependent commits together, so the
         # visible entries of a key always form a prefix of its stream.
-        finals: Dict[object, DeltaEntry] = {}
-        for entry in self.delta.entries:
-            if snapshot.xid_visible(entry.xid, clog, own_xid):
-                finals[entry.key] = entry
+        finals = {entry.key: (entry.stamp, entry.values)
+                  for entry in self.delta.entries
+                  if snapshot.xid_visible(entry.xid, clog, own_xid)}
         if not finals:
             dn._note("htap.scans_frozen")
-            return frozen.store
-        deleted = set()
-        patched: Dict[int, Dict[str, object]] = {}
-        extra: List[Tuple[int, Dict[str, object]]] = []
-        for key, entry in finals.items():
-            pos = frozen.pos_by_key.get(key)
-            if pos is None:
-                if entry.op != "delete":
-                    extra.append((entry.stamp, entry.values))
-            elif entry.op == "delete":
-                deleted.add(pos)
-            elif entry.stamp == frozen.stamps[pos]:
-                patched[pos] = entry.values
-            else:
-                # The key's chain was dropped (vacuum) and re-created: it
-                # now lives at a new heap position.
-                deleted.add(pos)
-                extra.append((entry.stamp, entry.values))
-        rows = [(stamp, patched.get(i, values))
-                for i, (stamp, values) in enumerate(zip(frozen.stamps,
-                                                        frozen.rows))
-                if i not in deleted]
-        rows.extend(extra)
-        rows.sort(key=lambda item: item[0])
-        # Materialize with the legacy path's exact shape (uncompressed,
-        # default chunking) so downstream vectorized aggregation sees the
-        # same chunk boundaries and stays byte-identical.
-        store = ColumnStore(self.schema, compress=False)
-        store.append_rows(values for _stamp, values in rows)
-        store.flush()
+            return self.frozen.store
+        _keys, _stamps, vectors = splice(self.schema, self.frozen, finals)
+        # Uncompressed, default chunking: the heap walk's exact shape, so
+        # downstream vectorized aggregation sees the same chunk boundaries
+        # and stays byte-identical.
         dn._note("htap.scans_composed")
-        return store
+        return ColumnStore.from_vectors(self.schema, vectors, compress=False)
 
     def _unservable_reason(self, dn, snapshot, own_xid: int) -> Optional[str]:
         if self.frozen is None:

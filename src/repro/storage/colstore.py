@@ -3,12 +3,15 @@
 The analytic side of FI-MPPDB: append-only column chunks that the vectorized
 execution engine (``PScan.execute_batches`` over
 :func:`repro.exec.fragments.scan_filter_vectors`) scans with SIMD-style numpy
-kernels.  Chunks are optionally compressed at seal time and decompressed
-lazily on access.
+kernels.  A chunk's scan image is a typed :class:`ColumnVector`: either
+decoded once, lazily, from the chunk's codec payload (stores filled by
+:meth:`ColumnStore.append_rows`), or handed over as a slice of vectors that
+already exist (:meth:`ColumnStore.from_vectors`).
 
-The column store is not MVCC: OLAP tables are bulk-loaded, matching the
-paper's "OLAP queries over mostly-appended data" usage.  The HTAP path reads
-fresh transactional rows from the MVCC heap instead.
+The column store is not MVCC.  Under HTAP, :mod:`repro.htap.store` keeps a
+table's merged rows as typed vectors and builds each snapshot's store from
+them with :meth:`ColumnStore.from_vectors`; the rows of a table without HTAP
+state are read from the MVCC heap and appended.
 """
 
 from __future__ import annotations
@@ -27,56 +30,6 @@ DEFAULT_CHUNK_ROWS = 4096
 
 
 @dataclass
-class ColumnChunk:
-    """One column's values for one horizontal chunk of rows."""
-
-    column: str
-    data_type: DataType
-    codec: str
-    payload: object
-    row_count: int
-    #: Decode-once cache.  Sealed chunks are immutable, so the decoded
-    #: vector can be reused across scans; consumers must treat it as
-    #: read-only (the arrays are marked non-writeable to enforce that).
-    _decoded: Optional["ColumnVector"] = field(
-        default=None, repr=False, compare=False)
-
-    def decode(self) -> np.ndarray:
-        values = compression.decode(self.codec, self.payload)
-        if len(values) != self.row_count:
-            raise StorageError(
-                f"chunk {self.column}: decoded {len(values)} rows, expected {self.row_count}"
-            )
-        if self.data_type is DataType.TEXT:
-            return np.array(values, dtype=object)
-        arr = np.empty(self.row_count, dtype=self.data_type.numpy_dtype)
-        mask = [v is None for v in values]
-        if any(mask):
-            # NULLs are materialized as the type's sentinel; a parallel
-            # validity mask is produced by ``decode_with_nulls``.
-            values = [0 if v is None else v for v in values]
-        arr[:] = values
-        return arr
-
-    def decode_with_nulls(self) -> "ColumnVector":
-        if self._decoded is not None:
-            return self._decoded
-        values = compression.decode(self.codec, self.payload)
-        validity = np.array([v is not None for v in values], dtype=bool)
-        if self.data_type is DataType.TEXT:
-            data = np.array([v if v is not None else "" for v in values], dtype=object)
-        else:
-            data = np.array(
-                [v if v is not None else 0 for v in values],
-                dtype=self.data_type.numpy_dtype,
-            )
-        data.flags.writeable = False
-        validity.flags.writeable = False
-        self._decoded = ColumnVector(data=data, validity=validity)
-        return self._decoded
-
-
-@dataclass
 class ColumnVector:
     """A decoded column slice: dense data plus a validity (non-NULL) mask."""
 
@@ -85,6 +38,61 @@ class ColumnVector:
 
     def __len__(self) -> int:
         return len(self.data)
+
+    @classmethod
+    def from_values(cls, values: Sequence[object],
+                    data_type: DataType) -> "ColumnVector":
+        """A read-only vector over coerced Python values.
+
+        NULL becomes ``0`` (``""`` for TEXT) with its validity bit clear;
+        the dtype is ``data_type.numpy_dtype``.  This is the one way a
+        vector is built from values, so every chunk image, whatever
+        produced it, holds the same bits for the same values.
+        """
+        validity = np.array([v is not None for v in values], dtype=bool)
+        null = "" if data_type is DataType.TEXT else 0
+        data = np.array([null if v is None else v for v in values],
+                        dtype=data_type.numpy_dtype)
+        data.flags.writeable = False
+        validity.flags.writeable = False
+        return cls(data=data, validity=validity)
+
+    def values(self) -> List[object]:
+        """The Python values, ``None`` for NULL: ``from_values`` inverted."""
+        values = self.data.tolist()
+        if self.validity.all():
+            return values
+        return [v if ok else None
+                for v, ok in zip(values, self.validity.tolist())]
+
+
+@dataclass
+class ColumnChunk:
+    """One column's values for one horizontal chunk of rows."""
+
+    column: str
+    data_type: DataType
+    codec: str
+    #: The codec's encoding of the values; ``None`` for a ``plain`` chunk
+    #: built from a vector, which holds nothing but its image.
+    payload: object
+    row_count: int
+    #: Decode-once image.  Sealed chunks are immutable, so the decoded
+    #: vector can be reused across scans; consumers must treat it as
+    #: read-only (the arrays are marked non-writeable to enforce that).
+    #: Chunks built from vectors carry it from the start.
+    _decoded: Optional[ColumnVector] = field(
+        default=None, repr=False, compare=False)
+
+    def decode_with_nulls(self) -> ColumnVector:
+        if self._decoded is None:
+            values = compression.decode(self.codec, self.payload)
+            if len(values) != self.row_count:
+                raise StorageError(
+                    f"chunk {self.column}: decoded {len(values)} rows, "
+                    f"expected {self.row_count}")
+            self._decoded = ColumnVector.from_values(values, self.data_type)
+        return self._decoded
 
 
 class ColumnStore:
@@ -134,6 +142,42 @@ class ColumnStore:
         self._sealed.append(sealed)
         self._open = []
 
+    @classmethod
+    def from_vectors(cls, schema: TableSchema,
+                     vectors: Dict[str, ColumnVector], compress: bool
+                     ) -> "ColumnStore":
+        """A sealed store over typed, read-only column vectors.
+
+        Chunked as :meth:`append_rows` would chunk the same rows, but with
+        no row coercion and no decode: each chunk's image is a slice (a
+        view) of ``vectors``.  ``compress`` still encodes each chunk, for
+        the codec choice and footprint a bulk load would report.
+        """
+        store = cls(schema, compress=compress)
+        n = len(vectors[schema.primary_key])
+        for start in range(0, n, store.chunk_rows):
+            stop = min(start + store.chunk_rows, n)
+            sealed: Dict[str, ColumnChunk] = {}
+            for col in schema.columns:
+                vec = vectors[col.name]
+                image = ColumnVector(vec.data[start:stop],
+                                     vec.validity[start:stop])
+                if compress:
+                    codec, payload = compression.best_codec(image.values())
+                else:
+                    codec, payload = "plain", None
+                sealed[col.name] = ColumnChunk(
+                    column=col.name,
+                    data_type=col.data_type,
+                    codec=codec,
+                    payload=payload,
+                    row_count=stop - start,
+                    _decoded=image,
+                )
+            store._sealed.append(sealed)
+        store._row_count = n
+        return store
+
     # -- scan -------------------------------------------------------------
 
     @property
@@ -154,20 +198,9 @@ class ColumnStore:
             yield {name: sealed[name].decode_with_nulls() for name in wanted}
         if self._open:
             cols = rows_to_columns(self._open, wanted)
-            chunk = {}
-            for name in wanted:
-                col = self.schema.column(name)
-                values = cols[name]
-                validity = np.array([v is not None for v in values], dtype=bool)
-                if col.data_type is DataType.TEXT:
-                    data = np.array([v if v is not None else "" for v in values], dtype=object)
-                else:
-                    data = np.array(
-                        [v if v is not None else 0 for v in values],
-                        dtype=col.data_type.numpy_dtype,
-                    )
-                chunk[name] = ColumnVector(data=data, validity=validity)
-            yield chunk
+            yield {name: ColumnVector.from_values(
+                       cols[name], self.schema.column(name).data_type)
+                   for name in wanted}
 
     def scan_rows(self) -> Iterator[Dict[str, object]]:
         """Row-wise view of the whole store (used by tests and row fallback)."""

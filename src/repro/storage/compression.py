@@ -8,17 +8,32 @@ three classic lightweight encodings used by analytic engines:
 * delta (frame-of-reference) encoding — slowly changing numeric columns,
   e.g. timestamps.
 
-Codecs are lossless; :func:`best_codec` picks the smallest encoding for a
-chunk the way a storage engine's encoder would.
+Codecs are value-lossless: a decode returns values that are equal *and*
+carry the same sign of zero (``==`` and ``hash`` alone would fold ``-0.0``
+into ``0.0``).  :func:`best_codec` picks the smallest encoding for a chunk
+the way a storage engine's encoder would.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import StorageError
+
+#: Stands in for ``-0.0`` as a run or dictionary key.
+_NEGATIVE_ZERO = object()
+
+
+def _codec_keys(values: Sequence[object]) -> Sequence[object]:
+    """``values`` as run/dictionary keys, with ``-0.0`` apart from ``0.0``."""
+    if 0.0 not in values:   # one C-level pass; ``in`` also matches -0.0
+        return values
+    return [_NEGATIVE_ZERO
+            if type(v) is float and v == 0.0 and math.copysign(1.0, v) < 0.0
+            else v for v in values]
 
 
 class RunLengthCodec:
@@ -29,11 +44,13 @@ class RunLengthCodec:
     @staticmethod
     def encode(values: Sequence[object]) -> List[Tuple[object, int]]:
         runs: List[Tuple[object, int]] = []
-        for value in values:
-            if runs and runs[-1][0] == value:
-                runs[-1] = (value, runs[-1][1] + 1)
+        last = None
+        for value, key in zip(values, _codec_keys(values)):
+            if runs and key == last:
+                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
             else:
                 runs.append((value, 1))
+                last = key
         return runs
 
     @staticmethod
@@ -60,11 +77,11 @@ class DictionaryCodec:
         mapping: Dict[object, int] = {}
         codes: List[int] = []
         dictionary: List[object] = []
-        for value in values:
-            code = mapping.get(value)
+        for value, key in zip(values, _codec_keys(values)):
+            code = mapping.get(key)
             if code is None:
                 code = len(dictionary)
-                mapping[value] = code
+                mapping[key] = code
                 dictionary.append(value)
             codes.append(code)
         return dictionary, codes

@@ -4,12 +4,15 @@ import pytest
 
 from repro.cluster.ha import HaManager
 from repro.cluster.mpp import MppCluster
+from repro.sql.engine import SqlEngine
+from repro.storage import compression
 from repro.storage.colstore import ColumnStore
 from repro.storage.heap import MvccHeap
 from repro.storage.table import Column, Orientation, TableSchema
 from repro.storage.types import DataType
 from repro.txn.snapshot import Snapshot
 from repro.txn.status import StatusLog, TxnStatus
+from tests.htap.chunks import assert_same_chunks
 
 
 def column_schema(name="c", extra=()):
@@ -34,13 +37,13 @@ def heap_walk_rows(dn, table, snapshot, xid):
 
 
 def assert_serves_identically(cluster, table="c"):
-    """Every DN's served store must equal the heap walk, row for row."""
+    """Every DN's served store must equal the heap walk, chunk for chunk."""
     txn = cluster.session().begin(multi_shard=True)
     for dn_index, dn in enumerate(cluster.dns):
         served = txn.shard_column_store(table, dn_index)
         view = txn._local_view[dn_index]
         oracle = heap_walk_rows(dn, table, view, txn._local_xid[dn_index])
-        assert list(served.scan_rows()) == list(oracle.scan_rows())
+        assert_same_chunks(served, oracle)
     txn.commit()
 
 
@@ -278,6 +281,107 @@ class TestCompose:
         metrics = cluster.obs.metrics
         assert metrics.counter("htap.scans_frozen").value == 5
         assert metrics.counter("htap.cold_rebuilds").value == 0
+
+
+def wide_schema(name="w"):
+    return TableSchema(name, [Column("k", DataType.INT),
+                              Column("i", DataType.INT),
+                              Column("d", DataType.DOUBLE),
+                              Column("t", DataType.TEXT)],
+                       "k", orientation=Orientation.COLUMN)
+
+
+def wide_row(k, tag=0):
+    return {"k": k,
+            "i": None if k % 7 == 0 else k * 3 + tag,
+            "d": None if k % 11 == 0 else (-0.0 if k % 5 == 0 else k / 4),
+            "t": None if k % 13 == 0 else f"t{(k + tag) % 17}"}
+
+
+def commit_one(cluster, op, *args):
+    txn = cluster.session().begin()
+    getattr(txn, op)("w", *args)
+    txn.commit()
+
+
+class TestSpliceBitIdentity:
+    """Composed and re-merged stores equal the heap walk bit for bit, on
+    one DN with more rows than a chunk holds."""
+
+    def test_splice_matches_heap_walk_across_chunk_boundaries(self):
+        cluster = MppCluster(num_dns=1)
+        cluster.create_table(wide_schema())
+        load = cluster.session().begin()
+        for k in range(5000):
+            load.insert("w", wide_row(k))
+        load.commit()
+        # Begins before the merge, commits after it: its stamp sorts
+        # before frozen rows 5000..5049.
+        early = cluster.session().begin()
+        early.insert("w", wide_row(90001, tag=1))
+        late = cluster.session().begin()
+        for k in range(5000, 5050):
+            late.insert("w", wide_row(k))
+        late.commit()
+        cluster.htap.tick()
+        store = cluster.dns[0].htap.tables["w"]
+        assert store.frozen.row_count == 5050
+        assert store.frozen.store.chunk_count == 2
+        assert_serves_identically(cluster, "w")
+        for sealed in store.frozen.store._sealed:
+            for chunk in sealed.values():
+                # Every codec round-trips the chunk image value for value.
+                decoded = compression.decode(chunk.codec, chunk.payload)
+                image = chunk.decode_with_nulls().values()
+                assert [repr(v) for v in decoded] == [repr(v) for v in image]
+        early.commit()
+
+        commit_one(cluster, "update", 10, {"i": None, "d": -0.0, "t": None})
+        commit_one(cluster, "update", 4500, {"i": 7, "d": None, "t": "x"})
+        commit_one(cluster, "delete", 20)
+        commit_one(cluster, "delete", 30)
+        commit_one(cluster, "insert", wide_row(30, tag=2))
+        commit_one(cluster, "delete", 40)
+        assert cluster.vacuum() > 0          # drops key 40's chain
+        commit_one(cluster, "insert", wide_row(40, tag=3))
+        commit_one(cluster, "insert", wide_row(6000, tag=4))
+        stamps = store.frozen.stamps
+        heap = cluster.dns[0].heap("w")
+        assert heap.stamp_of(90001) < stamps[-1]
+        assert heap.stamp_of(30) == stamps[store.frozen.pos_by_key[30]]
+        assert heap.stamp_of(40) > stamps[-1]     # re-created at the end
+        metrics = cluster.obs.metrics
+        composed = metrics.counter("htap.scans_composed").value
+        assert_serves_identically(cluster, "w")
+        assert metrics.counter("htap.scans_composed").value == composed + 1
+
+        cluster.htap.tick()
+        frozen = metrics.counter("htap.scans_frozen").value
+        assert_serves_identically(cluster, "w")
+        assert metrics.counter("htap.scans_frozen").value == frozen + 1
+        assert metrics.counter("htap.cold_rebuilds").value == 0
+
+
+class TestNegativeZero:
+    def test_sql_keeps_the_sign_of_zero_across_a_merge(self):
+        cluster = MppCluster(num_dns=2)
+        cluster.create_table(TableSchema(
+            "c", [Column("k", DataType.INT), Column("v", DataType.DOUBLE)],
+            "k", orientation=Orientation.COLUMN))
+        engine = SqlEngine(cluster)
+        txn = cluster.session().begin(multi_shard=True)
+        for k in range(40):
+            txn.insert("c", {"k": k, "v": -0.0 if (k // 2) % 2 else 0.0})
+        txn.commit()
+        want = [repr(-0.0 if (k // 2) % 2 else 0.0) for k in range(40)]
+
+        def served():
+            rows = engine.execute("select k, v from c order by k").rows
+            return [repr(v) for _k, v in rows]
+
+        assert served() == want
+        cluster.htap.tick()
+        assert served() == want
 
 
 class TestFailover:

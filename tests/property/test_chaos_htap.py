@@ -6,7 +6,7 @@ OLTP write mix with daemon ticks interleaved, recovers the cluster, and
 asserts the delta-merge crash-safety invariants:
 
 1. **No lost or duplicated rows** — every DN's served column store equals
-   the MVCC heap walk row for row, and the union of served rows equals the
+   the MVCC heap walk chunk for chunk, bit for bit, and the union of served rows equals the
    oracle built from acknowledged commits.
 2. **No stuck watermark** — once recovery completes and a fault-free tick
    runs, every delta drains and ``frozen.merged_seq`` catches up to the
@@ -32,6 +32,7 @@ from repro.faults.chaos import (HTAP_FAULT_MENU, arm_random_htap_faults,
                                 recover_cluster)
 from repro.storage import Column, DataType, Orientation, TableSchema
 from repro.storage.colstore import ColumnStore
+from tests.htap.chunks import assert_same_chunks
 
 NUM_DNS = 3
 KEYS = list(range(12))
@@ -98,15 +99,15 @@ def assert_no_lost_or_duplicate_rows(cluster, expected):
     txn = cluster.session().begin(multi_shard=True)
     served_union = {}
     for dn_index, dn in enumerate(cluster.dns):
-        served = list(txn.shard_column_store("c", dn_index).scan_rows())
+        store = txn.shard_column_store("c", dn_index)
         oracle = ColumnStore(dn._schemas["c"], compress=False)
         oracle.append_rows(
             values for _key, values in dn.heap("c").scan(
                 txn._local_view[dn_index], dn.ltm.clog,
                 txn._local_xid[dn_index]))
         oracle.flush()
-        assert served == list(oracle.scan_rows())
-        for row in served:
+        assert_same_chunks(store, oracle)
+        for row in store.scan_rows():
             assert row["k"] not in served_union   # no duplicated rows
             served_union[row["k"]] = row["v"]
     txn.commit()

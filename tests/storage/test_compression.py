@@ -1,5 +1,7 @@
 """Tests for the columnar compression codecs."""
 
+import math
+
 import pytest
 
 from repro.common.errors import StorageError
@@ -89,3 +91,26 @@ class TestBestCodec:
         values = [None, 1, None, 1]
         name, payload = best_codec(values)
         assert decode(name, payload) == values
+
+
+class TestSignedZero:
+    VALUES = [0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 1.5, None, -0.0]
+
+    def _assert_same(self, decoded):
+        assert [repr(v) for v in decoded] == [repr(v) for v in self.VALUES]
+        assert [math.copysign(1.0, v) for v in decoded if v is not None] == [
+            math.copysign(1.0, v) for v in self.VALUES if v is not None]
+
+    def test_rle_keeps_the_sign_of_zero(self):
+        self._assert_same(
+            RunLengthCodec.decode(RunLengthCodec.encode(self.VALUES)))
+
+    def test_dictionary_keeps_the_sign_of_zero(self):
+        self._assert_same(
+            DictionaryCodec.decode(*DictionaryCodec.encode(self.VALUES)))
+
+    def test_best_codec_keeps_the_sign_of_zero(self):
+        for values in (self.VALUES, [0.0, -0.0] * 50, [-0.0] * 9 + [0.0]):
+            name, payload = best_codec(values)
+            assert ([repr(v) for v in decode(name, payload)]
+                    == [repr(v) for v in values]), name
