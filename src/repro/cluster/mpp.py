@@ -106,8 +106,6 @@ class MppCluster:
         ]
         self._next_session = 0
         self._session_seq = 0
-        self._completed_since_prune = 0
-        self.lco_prune_interval = 256
         #: Set by :class:`repro.cluster.ha.HaManager` when standbys attach.
         self.ha = None
         #: Set by :meth:`repro.faults.FaultInjector.bind`.
@@ -368,21 +366,16 @@ class MppCluster:
                     removed += dn.heap(table).vacuum(snapshot, dn.ltm.clog)
         return removed
 
-    def truncate_lcos(self, keep_last: int = 1024) -> int:
-        return sum(dn.ltm.truncate_lco(keep_last)
-                   for dn in self.active_dns())
-
     def maybe_prune_lcos(self) -> None:
-        """Amortized LCO garbage collection, driven by commit traffic.
+        """LCO garbage collection, run as every transaction completes.
 
-        Every ``lco_prune_interval`` completed transactions, drop the LCO
-        prefix no live global snapshot can still need (see
+        Drops each DN's LCO prefix that no live global snapshot can still
+        need (see
         :meth:`repro.txn.manager.LocalTransactionManager.prune_lco`).
+        Running it at every commit keeps each LCO as short as the oldest
+        open reader allows, so a merge walks only the entries it may have
+        to downgrade; with no reader open the LCOs stay empty.
         """
-        self._completed_since_prune += 1
-        if self._completed_since_prune < self.lco_prune_interval:
-            return
-        self._completed_since_prune = 0
         horizon = self.gtm.snapshot_horizon()
         for dn in self.active_dns():
             dn.ltm.prune_lco(horizon)

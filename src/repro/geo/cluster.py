@@ -866,15 +866,21 @@ class GeoSession:
         self.local = geo.regions[region].session(track_costs=True,
                                                  start_us=start_us)
         #: The session's *pending* writes — submitted to an epoch but not
-        #: yet certified: (table, key) -> (kind, data, handle).  The next
-        #: transaction of this session reads through this overlay, so
-        #: sequential transactions chain (read-your-pending-writes) even
-        #: though the region's storage only reflects certified epochs.
-        #: Entries evaporate once their handle resolves: committed writes
-        #: are then in storage, aborted ones never existed.
+        #: yet certified: (table, key) -> (kind, data, handle).  The
+        #: session's transactions read through this map (behind their own
+        #: overlay), so sequential transactions chain
+        #: (read-your-pending-writes) even though the region's storage
+        #: only reflects certified epochs.  An entry whose handle has
+        #: resolved counts as absent: committed writes are then in
+        #: storage, aborted ones never existed.
         self._pending: Dict[Tuple[str, object],
-                            Tuple[str, Optional[dict],
-                                  Optional[GeoCommitHandle]]] = {}
+                            Tuple[str, Optional[dict], GeoCommitHandle]] = {}
+        #: ``(handle, keys)`` per submitted write transaction, in
+        #: submission order; :meth:`begin` pops resolved handles off the
+        #: front and drops the keys each still owns, so ``_pending`` stays
+        #: bounded at amortised O(1) per transaction.
+        self._submitted: Deque[Tuple[GeoCommitHandle,
+                                     Tuple[Tuple[str, object], ...]]] = deque()
 
     @property
     def now_us(self) -> float:
@@ -888,7 +894,22 @@ class GeoSession:
         return self.now_us
 
     def begin(self) -> "GeoTransaction":
+        submitted, pending = self._submitted, self._pending
+        while submitted and submitted[0][0].status != "pending":
+            handle, keys = submitted.popleft()
+            for key in keys:
+                if pending[key][2] is handle:
+                    del pending[key]
         return GeoTransaction(self)
+
+    def _pending_entry(self, key: Tuple[str, object]
+                       ) -> Optional[Tuple[str, Optional[dict]]]:
+        """The still-pending ``(kind, data)`` this session wrote at
+        ``key``, or None when there is none or its handle has resolved."""
+        entry = self._pending.get(key)
+        if entry is None or entry[2].status != "pending":
+            return None
+        return entry[0], entry[1]
 
     def run_transaction(self, body, multi_shard: bool = False
                         ) -> GeoCommitHandle:
@@ -926,17 +947,12 @@ class GeoTransaction:
         self._ops: List[GeoWriteOp] = []
         #: Read-your-writes overlay: (table, key) -> (kind, data) with kind
         #: 'row' (full image), 'delta' (accumulated update columns), or
-        #: 'del'.  Seeded from the session's still-pending writes so this
-        #: transaction sees its predecessors; resolved entries are pruned
-        #: (committed → now in storage, aborted → never happened).
+        #: 'del'.  Holds this transaction's own writes only; a key it has
+        #: not written reads through to the session's still-pending writes
+        #: (:meth:`GeoSession._pending_entry`), so this transaction sees
+        #: its predecessors without copying them.
         self._overlay: Dict[Tuple[str, object],
                             Tuple[str, Optional[dict]]] = {}
-        self._written: Set[Tuple[str, object]] = set()
-        for key, (kind, data, handle) in list(session._pending.items()):
-            if handle is not None and handle.status != "pending":
-                del session._pending[key]
-                continue
-            self._overlay[key] = (kind, data)
         #: Lazily-opened read transactions, one per region touched.
         self._read_txns: Dict[int, object] = {}
         self._start_us = session.now_us
@@ -974,7 +990,8 @@ class GeoTransaction:
 
     def read(self, table: str, key: object):
         self._require_running()
-        entry = self._overlay.get((table, key))
+        entry = self._overlay.get((table, key)) \
+            or self.session._pending_entry((table, key))
         if entry is not None:
             kind, data = entry
             if kind == "del":
@@ -1011,13 +1028,12 @@ class GeoTransaction:
     def _buffer(self, op: GeoWriteOp) -> None:
         self._ops.append(op)
         key = (op.table, op.key)
-        self._written.add(key)
         if op.kind == "insert":
             self._overlay[key] = ("row", dict(op.values))
         elif op.kind == "delete":
             self._overlay[key] = ("del", None)
         else:
-            prior = self._overlay.get(key)
+            prior = self._overlay.get(key) or self.session._pending_entry(key)
             if prior is not None and prior[0] in ("row", "delta"):
                 merged = dict(prior[1])
                 merged.update(op.values)
@@ -1079,12 +1095,13 @@ class GeoTransaction:
         handle = GeoCommitHandle(txn_id=txn_id, origin=self.session.region,
                                  kind="write", submit_us=commit_ts)
         self.geo._submit(handle, record, self.session.local.session_id)
-        # Publish this transaction's written keys into the session overlay
-        # so the session's next transaction reads through them while the
+        # Publish this transaction's written keys into the session's
+        # pending map so its next transaction reads through them while the
         # epoch is in flight.
-        for key in self._written:
-            kind, data = self._overlay[key]
-            self.session._pending[key] = (kind, data, handle)
+        pending = self.session._pending
+        for key, (kind, data) in self._overlay.items():
+            pending[key] = (kind, data, handle)
+        self.session._submitted.append((handle, tuple(self._overlay)))
         return handle
 
     def abort(self) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import CatalogError, StorageError
-from repro.storage.types import DataType, coerce
+from repro.storage.types import DataType, coercer
 
 
 class Distribution(enum.Enum):
@@ -69,6 +69,12 @@ class TableSchema:
                     f"{self.distribution_column!r}"
                 )
         self._by_name: Dict[str, Column] = {c.name: c for c in self.columns}
+        #: ``(name, coerce, required)`` per column, compiled once: a
+        #: required column is the primary key or NOT NULL.
+        self._coercers: List[Tuple[str, Callable[[object], object], bool]] = [
+            (c.name, coercer(c.data_type),
+             c.name == self.primary_key or not c.nullable)
+            for c in self.columns]
 
     @property
     def column_names(self) -> List[str]:
@@ -84,21 +90,28 @@ class TableSchema:
         return name in self._by_name
 
     def coerce_row(self, row: Dict[str, object]) -> Dict[str, object]:
-        """Validate and type-coerce a row dict against this schema."""
+        """Validate and type-coerce a row dict against this schema.
+
+        Runs the schema's compiled per-column coercers: a value already of
+        its column's exact Python type passes through unchanged, anything
+        else goes through :func:`repro.storage.types.coerce`.  Raises
+        :class:`StorageError` for a NULL primary key or NOT NULL column,
+        an impossible coercion, or columns the schema does not have.
+        """
         out: Dict[str, object] = {}
-        for col in self.columns:
-            value = row.get(col.name)
+        for name, coerce_one, required in self._coercers:
+            value = row.get(name)
             if value is None:
-                if not col.nullable and col.name != self.primary_key:
+                if required:
+                    if name == self.primary_key:
+                        raise StorageError(
+                            f"table {self.name}: NULL primary key")
                     raise StorageError(
-                        f"table {self.name}: column {col.name} is NOT NULL"
-                    )
-                if col.name == self.primary_key:
-                    raise StorageError(f"table {self.name}: NULL primary key")
-                out[col.name] = None
+                        f"table {self.name}: column {name} is NOT NULL")
+                out[name] = None
             else:
-                out[col.name] = coerce(value, col.data_type)
-        extra = set(row) - set(self._by_name)
+                out[name] = coerce_one(value)
+        extra = row.keys() - self._by_name.keys()
         if extra:
             raise StorageError(f"table {self.name}: unknown columns {sorted(extra)}")
         return out

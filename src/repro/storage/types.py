@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -81,6 +81,24 @@ def coerce(value: object, data_type: DataType) -> Optional[object]:
         return py(value)
     except (TypeError, ValueError) as exc:
         raise StorageError(f"cannot coerce {value!r} to {data_type.value}: {exc}") from None
+
+
+def coercer(data_type: DataType) -> Callable[[object], Optional[object]]:
+    """Compile ``coerce(value, data_type)`` for one column.
+
+    A value whose ``type`` is exactly the column's Python type comes back
+    unchanged; anything else (including subclasses such as ``bool`` or an
+    ``IntEnum`` member, and numpy scalars) goes through :func:`coerce`, so
+    results and errors are identical.  Schemas compile one per column at
+    construction, not per row.
+    """
+    exact = _PY_TYPES[data_type]
+
+    def coerce_one(value: object) -> Optional[object]:
+        if type(value) is exact:
+            return value
+        return coerce(value, data_type)
+    return coerce_one
 
 
 def type_of_literal(value: object) -> DataType:

@@ -128,19 +128,6 @@ class LocalTransactionManager:
 
     # -- maintenance --------------------------------------------------------
 
-    def truncate_lco(self, keep_last: int) -> int:
-        """Drop the oldest LCO entries, keeping ``keep_last`` newest.
-
-        Safe once no reader can hold a global snapshot old enough to need the
-        dropped entries.  Returns the number of entries removed.
-        """
-        if keep_last < 0:
-            raise ValueError("keep_last must be non-negative")
-        excess = max(0, len(self.lco) - keep_last)
-        for _ in range(excess):
-            self.lco.popleft()
-        return excess
-
     def prune_lco(self, horizon_gxid: int) -> int:
         """Garbage-collect the LCO front up to a global snapshot horizon.
 
@@ -149,7 +136,10 @@ class LocalTransactionManager:
         and multi-shard entries whose GXID is below ``horizon_gxid`` are
         resolved in every snapshot any live reader could hold.  Pruning
         stops at the first entry that must stay, preserving the commit-order
-        prefix property the taint walk relies on.
+        prefix property the taint walk relies on.  The cluster runs this
+        as every transaction completes
+        (:meth:`repro.cluster.mpp.MppCluster.maybe_prune_lcos`), so the
+        LCO holds only what the oldest open reader can still downgrade.
         """
         removed = 0
         while self.lco:

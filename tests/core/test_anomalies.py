@@ -9,6 +9,7 @@ These reproduce the exact interleavings from the paper and assert that:
 import pytest
 
 from repro.cluster import MppCluster, TxnMode
+from repro.cluster import txn as txn_module
 from repro.storage import Column, DataType, TableSchema
 from repro.storage.table import shard_of_value
 
@@ -90,6 +91,43 @@ class TestAnomaly2:
         t3.commit()
         t2.read("t", ka)
         assert cluster.stats.downgrades >= 2  # T1's local commit and T3
+
+    def test_downgrade_survives_per_commit_lco_pruning(self, monkeypatch):
+        # Every completed transaction prunes the LCOs up to the GTM's
+        # snapshot horizon.  A reader whose global snapshot saw the writer
+        # in flight pins that horizon, so the writer's entry and the
+        # dependent single-shard commit after it must survive the prune
+        # and still be downgraded when the reader attaches late.
+        outcomes = []
+        merge = txn_module.merge_snapshots
+
+        def recording_merge(*args, **kwargs):
+            outcome = merge(*args, **kwargs)
+            outcomes.append(outcome)
+            return outcome
+        monkeypatch.setattr(txn_module, "merge_snapshots", recording_merge)
+
+        cluster, session, ka, kb = seeded(TxnMode.GTM_LITE)
+        dn0 = cluster.dns[shard_of_value(ka, 2)]
+        w = session.begin(multi_shard=True)
+        w.update("t", ka, {"v": 1})
+        w.update("t", kb, {"v": 1})
+        r = session.begin(multi_shard=True)    # global snapshot: W active
+        r.read("t", kb)                        # attach the other DN early
+        w_lxid = dn0.ltm.xid_map[w.gxid]
+        w.commit()                             # W commits on DN0 (and DN1)
+        l = session.begin(multi_shard=False)
+        l.update("t", ka, {"v": 2})
+        l.commit()                             # runs a prune on every DN
+        # The prune dropped the seed's resolved entry and stopped at W.
+        assert [e.local_xid for e in dn0.ltm.lco] == [w_lxid, l.xid]
+        outcomes.clear()
+        assert r.read("t", ka)["v"] == 0       # attaches DN0: pre-W value
+        assert [o.downgraded for o in outcomes] == [{w_lxid, l.xid}]
+        r.commit()
+        # With no reader left open, the reader's own completion empties
+        # every LCO.
+        assert [len(dn.ltm.lco) for dn in cluster.dns] == [0, 0]
 
 
 class TestAnomaly1:

@@ -16,7 +16,7 @@ from repro.geo import (
 )
 from repro.sql import SqlEngine
 from repro.storage import Column, DataType, TableSchema
-from repro.workloads.tpcc_lite import TpccLiteWorkload
+from repro.workloads.tpcc_lite import TpccLiteWorkload, district_key
 
 
 def simple_schema():
@@ -126,6 +126,92 @@ class TestEpochCommit:
         assert len({geo.certified_epoch(r) for r in range(3)}) == 1
         for epoch in {row[0] for row in geo.epoch_rows()}:
             assert len(set(geo.epoch_digests(epoch).values())) == 1
+
+
+class TestSessionPendingWrites:
+    """A session's transactions read its still-pending writes through the
+    session's pending map; resolved entries count as absent and are
+    dropped at the next ``begin``."""
+
+    def test_sequential_increments_of_one_district_chain_in_one_step(self):
+        geo = GeoCluster(GeoConfig(num_regions=3, dns_per_region=1,
+                                   replication_factor=2))
+        load_tpcc_geo(geo, num_warehouses=3)
+        w_id = warehouses_homed_at(geo, 0, 3)[0]
+        d_key = district_key(w_id, 0)
+        session = geo.session(0)
+        seen = []
+
+        def bump(txn):
+            next_o_id = txn.read("district", d_key)["d_next_o_id"]
+            seen.append(next_o_id)
+            txn.update("district", d_key, {"d_next_o_id": next_o_id + 1})
+        # No epoch step between them: each reads its predecessor's
+        # uncertified write.
+        handles = [session.run_transaction(bump) for _ in range(3)]
+        assert [h.status for h in handles] == ["pending"] * 3
+        assert seen == [1, 2, 3]
+        geo.drain()
+        assert [h.status for h in handles] == ["committed"] * 3
+        reader = geo.regions[0].session().begin(multi_shard=True)
+        assert reader.read("district", d_key)["d_next_o_id"] == 4
+        reader.commit()
+
+    def test_write_that_lost_certification_is_not_visible(self):
+        geo = build()
+        geo.session(0).run_transaction(
+            lambda txn: txn.insert("t", {"k": 7, "v": 0}))
+        geo.drain()
+        sessions = [geo.session(0), geo.session(1)]
+        handles = [s.run_transaction(lambda txn, v=v: txn.update(
+            "t", 7, {"v": v})) for s, v in zip(sessions, (100, 200))]
+        probe = sessions[1].begin()
+        assert probe.read("t", 7)["v"] == 200     # read through, pending
+        probe.abort()
+        # Begun while both writes are pending, read after they resolved.
+        open_txns = [s.begin() for s in sessions]
+        geo.drain()
+        statuses = [h.status for h in handles]
+        assert sorted(statuses) == ["aborted", "committed"]
+        winner = (100, 200)[statuses.index("committed")]
+        loser = sessions[statuses.index("aborted")]
+        for txn in open_txns + [loser.begin()]:
+            assert txn.read("t", 7)["v"] == winner
+            txn.abort()
+
+    def test_resolved_handle_drops_only_keys_it_still_owns(self):
+        geo = build()
+        session = geo.session(0)
+        session.run_transaction(lambda txn: txn.insert("t", {"k": 5, "v": 0}))
+        geo.drain()
+        first = session.run_transaction(
+            lambda txn: txn.update("t", 5, {"v": 1}))
+        second = session.begin()              # begun while `first` pends
+        session.wait_until(geo.drain())
+        assert first.status == "committed"
+        second.update("t", 5, {"v": 2})
+        handle = second.commit()
+        assert handle.status == "pending"
+        # The next begin retires `first`, whose key `second` now owns.
+        third = session.begin()
+        assert third.read("t", 5)["v"] == 2
+        third.abort()
+
+    def test_pending_map_is_empty_once_drained(self):
+        geo = build()
+        sessions = [geo.session(r) for r in range(3)]
+        for i in range(4):
+            for r, session in enumerate(sessions):
+                session.run_transaction(lambda txn, r=r, i=i: txn.insert(
+                    "t", {"k": r * 100 + i, "v": i}))
+                session.run_transaction(lambda txn, r=r: txn.update(
+                    "t", r * 100, {"v": -1}))
+        assert all(session._pending for session in sessions)
+        geo.drain()
+        for session in sessions:
+            session.begin().abort()
+            assert session._pending == {}
+            assert not session._submitted
 
 
 class TestPartialReplication:

@@ -126,13 +126,6 @@ class TestLocalTransactionManager:
         with pytest.raises(InvalidTransactionState):
             ltm.record_write(a, "t", 1)
 
-    def test_truncate_lco_keeps_newest(self):
-        ltm = LocalTransactionManager("dn0")
-        for _ in range(10):
-            ltm.commit(ltm.begin())
-        removed = ltm.truncate_lco(keep_last=3)
-        assert removed == 7 and len(ltm.lco) == 3
-
     def test_prune_lco_respects_horizon(self):
         ltm = LocalTransactionManager("dn0")
         # local commit, old global commit, newer global commit, local commit
